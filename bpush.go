@@ -120,7 +120,7 @@ type (
 	// invalidation report in indexed form, the compiled SG delta, and the
 	// overflow span table, consumed read-only by every scheme instead of
 	// being rebuilt per client. Becasts decoded from network frames carry
-	// none and schemes rebuild the same structures locally.
+	// one rebuilt from the frame.
 	CycleIndex = broadcast.CycleIndex
 )
 

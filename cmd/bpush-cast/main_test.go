@@ -112,7 +112,7 @@ func runLoadHarness(t *testing.T, extra ...string) loadReport {
 // the report's accounting against the run it describes.
 func TestLoadHarnessSharded(t *testing.T) {
 	rep := runLoadHarness(t)
-	if rep.Mode != "sharded" || rep.Transport != "mem" || rep.Tuners != 40 || rep.Cycles != 3 {
+	if rep.Transport != "mem" || rep.Tuners != 40 || rep.Cycles != 3 {
 		t.Fatalf("report header wrong: %+v", rep)
 	}
 	if rep.AcceptNs <= 0 || rep.AcceptPerSec <= 0 {
@@ -140,24 +140,6 @@ func TestLoadHarnessSharded(t *testing.T) {
 	// eviction-phase frames).
 	if rep.TunersDecodedMin < 1+3 {
 		t.Errorf("slowest tuner decoded %d becasts, want >= 4", rep.TunersDecodedMin)
-	}
-}
-
-// TestLoadHarnessSerialBaseline: the serial writer runs the same
-// broadcast measurement (no eviction phase — it has no queues).
-func TestLoadHarnessSerialBaseline(t *testing.T) {
-	rep := runLoadHarness(t, "-load-serial")
-	if rep.Mode != "serial" {
-		t.Fatalf("mode = %q, want serial", rep.Mode)
-	}
-	if rep.DeliveredFrames != 3*40 {
-		t.Errorf("delivered %d frames, want %d", rep.DeliveredFrames, 3*40)
-	}
-	if rep.Evictions != 0 || rep.EvictionSweepNs != 0 {
-		t.Errorf("serial baseline reported an eviction phase: %+v", rep)
-	}
-	if rep.Shards != 0 || rep.QueueLen != 0 {
-		t.Errorf("serial baseline reported shard config: %+v", rep)
 	}
 }
 
@@ -208,10 +190,10 @@ func TestLoadHarnessAttribution(t *testing.T) {
 // and any dashboards parse them.
 func TestWriteReportStable(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeReport(&buf, loadReport{Mode: "sharded", Tuners: 1}); err != nil {
+	if err := writeReport(&buf, loadReport{Tuners: 1}); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"mode", "tuners", "on_air_ns_per_cycle", "sustained_ns_per_cycle", "accepts_per_sec"} {
+	for _, key := range []string{"tuners", "on_air_ns_per_cycle", "sustained_ns_per_cycle", "accepts_per_sec"} {
 		if !bytes.Contains(buf.Bytes(), []byte(`"`+key+`"`)) {
 			t.Errorf("report missing key %q:\n%s", key, buf.String())
 		}

@@ -41,7 +41,7 @@ func writeLagSnapshot(t *testing.T, wrap string) string {
 	var doc any
 	switch wrap {
 	case "load-report":
-		doc = map[string]any{"mode": "sharded", "metrics": snap}
+		doc = map[string]any{"metrics": snap}
 	case "metricsz":
 		doc = snap
 	default:

@@ -65,7 +65,6 @@ func run(args []string, out io.Writer) error {
 		memCycles  = fs.Int("mem-cycles", 0, "with -log-dir: keep only the newest N cycles in memory, serving older ones from disk (0 = keep all)")
 		snapEvery  = fs.Int("snapshot-every", 0, "with -log-dir: producer snapshot cadence in cycles (0 = default, negative = disable)")
 		tracePath  = fs.String("trace", "", "write the run's JSONL event trace to this file (inspect with: bpush-inspect trace)")
-		forceLocal = fs.Bool("force-local-index", false, "skip the shared per-cycle index; every client rebuilds its control-info structures locally (results are identical; for differential testing and benchmarks)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -102,7 +101,6 @@ func run(args []string, out io.Writer) error {
 	cfg.ProducerWorkers = *prodW
 	cfg.Fault = plan
 	cfg.FaultSeed = *faultSeed
-	cfg.ForceLocalIndex = *forceLocal
 	cfg.LogDir = *logDir
 	cfg.MemCycles = *memCycles
 	cfg.SnapshotEvery = *snapEvery

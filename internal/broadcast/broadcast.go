@@ -75,9 +75,9 @@ type Bcast struct {
 	// ascending order (broadcast-disk programs repeat hot items).
 	positions map[model.ItemID][]int
 
-	// sharedIndex holds the once-derived control-info index (see
-	// CycleIndex); nil until PrimeIndex. Decoded frames never carry one.
-	sharedIndex atomic.Pointer[CycleIndex]
+	// index holds the once-derived control-info index (see CycleIndex);
+	// nil until PrimeIndex, which New calls before returning.
+	index atomic.Pointer[CycleIndex]
 }
 
 // Program is the order in which items occupy data-segment slots. A flat
@@ -168,8 +168,10 @@ func assemble(srv *server.Server, log *server.CycleLog, program Program, require
 }
 
 // New reconstructs a becast from its parts (the wire decoder's entry
-// point). Positions are rebuilt from the entry order. totalItems may be 0,
-// in which case the becast is assumed complete.
+// point). Positions are rebuilt from the entry order and the CycleIndex is
+// primed, so a serialization-graph delta that breaks commit order
+// (Claim 1) is rejected here like any other malformed part. totalItems
+// may be 0, in which case the becast is assumed complete.
 func New(cycle model.Cycle, report []InvalidationEntry, delta sg.Delta, entries []Entry, overflow []OldVersion, numCommitted, totalItems int) (*Bcast, error) {
 	if len(entries) == 0 {
 		return nil, fmt.Errorf("broadcast: empty data segment")
@@ -192,6 +194,9 @@ func New(cycle model.Cycle, report []InvalidationEntry, delta sg.Delta, entries 
 	}
 	if b.TotalItems == 0 {
 		b.TotalItems = len(b.positions)
+	}
+	if _, err := b.PrimeIndex(); err != nil {
+		return nil, err
 	}
 	return b, nil
 }

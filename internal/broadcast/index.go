@@ -17,27 +17,29 @@ import (
 //
 // The paper's control information is broadcast once per cycle and consumed
 // by every listening client; a CycleIndex is the client-side analogue —
-// derived once per cycle (by the producer, under the cycle source's lock)
-// and then consumed read-only by every client of the shared stream, so
-// fleet cost stays O(server-work + clients × readset-work) instead of
-// re-deriving O(report-size) structures per client per cycle.
+// derived once per becast and then consumed read-only by every scheme that
+// hears it. It is the only path through which schemes read control
+// information, so fleet cost stays O(server-work + clients × readset-work)
+// instead of re-deriving O(report-size) structures per client per cycle.
 //
 // Ownership and immutability rules:
 //
-//   - A CycleIndex is built by PrimeIndex exactly once, before the becast
-//     is shared; everything reachable from it is read-only afterwards.
-//   - Consumers must never mutate returned slices; they alias the index.
+//   - Every becast gets its index exactly once: the cycle source primes it
+//     under its production lock, and New (the entry point of wire.Decode,
+//     durable-log replay and the fault injector's corrupt path) primes it
+//     before returning, so a decoded becast answers exactly like the one
+//     the producer encoded. Everything reachable from the index is
+//     read-only afterwards.
+//   - Consumers must never mutate returned slices; they alias the index or
+//     the becast.
 //   - The per-granularity bucket views are memoized on first use behind a
 //     mutex (different schemes ask for different granularities); their
 //     content is a pure function of (report, granularity, data-segment
 //     length), so which consumer builds them is unobservable.
-//   - A becast reconstructed from a network frame (wire.Decode, the fault
-//     injector's corrupt path) carries NO index: the index never crosses
-//     the wire, so a subscriber that heard a damaged-then-reassembled
-//     frame falls back to building local structures from the decoded
-//     content it actually trusts.
 type CycleIndex struct {
-	entries int // data-segment length, the §7 bucket-expansion bound
+	// b is the indexed becast: its overflow segment backs spans, and its
+	// data-segment length bounds the §7 bucket expansion.
+	b *Bcast
 
 	// ordered is the invalidation report's items, ascending (report order).
 	ordered []model.ItemID
@@ -70,11 +72,11 @@ type bucketView struct {
 // becast's serialization-graph delta is invalid (a commit-order violation,
 // impossible for server-assembled becasts).
 //
-//lint:hotpath index derivation runs every cycle, per client in local-index mode
+//lint:hotpath index derivation runs once per becast: at production and on every decoded frame
 func NewCycleIndex(b *Bcast) (*CycleIndex, error) {
 	//lint:allow hotalloc the CycleIndex is the cycle's retained shared product; clients may still hold the previous index, so it cannot be recycled
 	x := &CycleIndex{
-		entries: len(b.Entries),
+		b: b,
 		//lint:allow hotalloc pre-sized once per cycle into the retained index, shared by every client
 		writers: make(map[model.ItemID]model.TxID, len(b.Report)),
 	}
@@ -155,21 +157,23 @@ func (x *CycleIndex) EachInvalidated(granularity int, fn func(model.ItemID)) {
 // cycle's delta is empty (integrating nothing is a no-op).
 func (x *CycleIndex) Delta() *sg.CompiledDelta { return x.delta }
 
-// OldVersionsOf returns the becast's overflow group for item — the same
-// slice Bcast.OldVersionsOf scans for — via the precomputed span index.
-// The overflow slice is passed by the owning becast; the returned slice
-// aliases it and must not be modified.
-func (x *CycleIndex) oldVersions(overflow []OldVersion, entryOff int) []OldVersion {
-	if entryOff < 0 || x.spans == nil {
+// OldVersionsOf returns the indexed becast's overflow group for item —
+// the slice Bcast.OldVersionsOf walks to — via the precomputed span table.
+// The returned slice aliases the becast and must not be modified.
+func (x *CycleIndex) OldVersionsOf(item model.ItemID) []OldVersion {
+	p := x.b.Position(item)
+	if p < 0 {
 		return nil
 	}
-	sp, ok := x.spans[overflow[entryOff].Item]
-	if !ok || sp.start != entryOff {
-		// A pointer into the middle of a group (malformed input): defer to
-		// the caller's linear scan.
+	off := x.b.Entries[p].Overflow
+	if off < 0 {
 		return nil
 	}
-	return overflow[sp.start:sp.end]
+	if sp, ok := x.spans[x.b.Overflow[off].Item]; ok && sp.start == off {
+		return x.b.Overflow[sp.start:sp.end]
+	}
+	// A pointer into the middle of a group (malformed input): walk it.
+	return x.b.OldVersionsOf(item)
 }
 
 // bucketView returns the memoized granularity view, building it on first
@@ -198,8 +202,8 @@ func (x *CycleIndex) bucketView(granularity int) *bucketView {
 		bv.set[bk] = struct{}{}
 		lo := bk*granularity + 1
 		hi := lo + granularity - 1
-		if hi > x.entries {
-			hi = x.entries
+		if hi > len(x.b.Entries) {
+			hi = len(x.b.Entries)
 		}
 		for i := lo; i <= hi; i++ {
 			//lint:allow hotalloc appends into the memoized per-cycle bucket view, built once and reused
@@ -213,46 +217,21 @@ func (x *CycleIndex) bucketView(granularity int) *bucketView {
 	return bv
 }
 
-// PrimeIndex derives and attaches the shared CycleIndex, once; subsequent
-// calls return the existing index. It must be called before the becast is
-// handed to concurrent consumers (the cycle source primes under its
-// production lock). Becasts that were never primed — every becast decoded
-// from a network frame — report a nil SharedIndex and consumers build
-// their own local structures instead.
+// PrimeIndex derives and attaches the becast's CycleIndex, once; later
+// calls return the same index. Becasts built by New arrive primed; the
+// cycle source primes assembled becasts before sharing them, and each
+// scheme's NewCycle calls it again, which is then a lookup. Concurrent
+// first calls are safe: one index wins and every caller gets it.
 func (b *Bcast) PrimeIndex() (*CycleIndex, error) {
-	if x := b.sharedIndex.Load(); x != nil {
+	if x := b.index.Load(); x != nil {
 		return x, nil
 	}
 	x, err := NewCycleIndex(b)
 	if err != nil {
 		return nil, err
 	}
-	b.sharedIndex.Store(x)
+	if !b.index.CompareAndSwap(nil, x) {
+		return b.index.Load(), nil
+	}
 	return x, nil
-}
-
-// SharedIndex returns the becast's shared control-info index, or nil when
-// none was primed (decoded frames, standalone construction).
-func (b *Bcast) SharedIndex() *CycleIndex { return b.sharedIndex.Load() }
-
-// OldVersionsIndexed is OldVersionsOf served from the shared index's span
-// table when one is primed, falling back to the pointer-walk otherwise.
-// The returned slice aliases the becast and must not be modified.
-func (b *Bcast) OldVersionsIndexed(item model.ItemID) []OldVersion {
-	x := b.sharedIndex.Load()
-	if x == nil {
-		return b.OldVersionsOf(item)
-	}
-	p := b.Position(item)
-	if p < 0 {
-		return nil
-	}
-	off := b.Entries[p].Overflow
-	if off < 0 {
-		return nil
-	}
-	if ovs := x.oldVersions(b.Overflow, off); ovs != nil {
-		return ovs
-	}
-	return b.OldVersionsOf(item)
 }

@@ -33,9 +33,10 @@ func (f *fz) intn(n int) int {
 // fuzzBcast derives a random-but-well-formed becast from the fuzz input:
 // a flat data segment, per-item overflow groups (newest first, distinct
 // descending cycles), a sorted unique invalidation report, and an SG delta
-// whose edges may or may not respect commit order (Compile must reject
-// exactly the violations Apply rejects).
-func fuzzBcast(f *fz) (*Bcast, error) {
+// whose edges may or may not respect commit order (New must reject
+// exactly the violations Apply rejects). The delta is returned alongside
+// New's result so a rejection can be checked against Apply.
+func fuzzBcast(f *fz) (*Bcast, sg.Delta, error) {
 	const cyc = model.Cycle(9)
 	n := 1 + f.intn(24)
 	entries := make([]Entry, n)
@@ -76,7 +77,8 @@ func fuzzBcast(f *fz) (*Bcast, error) {
 	for k := f.intn(10); k > 0; k-- {
 		delta.Edges = append(delta.Edges, sg.Edge{From: tx(), To: tx()})
 	}
-	return New(cyc, report, delta, entries, overflow, len(delta.Nodes), n)
+	b, err := New(cyc, report, delta, entries, overflow, len(delta.Nodes), n)
+	return b, delta, err
 }
 
 // FuzzCycleIndex cross-checks every indexed lookup against a naive
@@ -91,23 +93,23 @@ func FuzzCycleIndex(f *testing.F) {
 	f.Add([]byte{23, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 2, 2, 2, 9, 9, 4, 4, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fzr := &fz{data: data}
-		b, err := fuzzBcast(fzr)
-		if err != nil {
-			t.Fatalf("fuzz generator built an invalid becast: %v", err)
-		}
+		b, delta, newErr := fuzzBcast(fzr)
 		granularity := 2 + fzr.intn(7)
 		prune := model.Cycle(fzr.intn(3)) + 7 // 7..9, straddling delta cycles
 
-		x, idxErr := b.PrimeIndex()
-
-		// Oracle 1: delta validity. Compile (inside PrimeIndex) must reject
-		// exactly the deltas Apply rejects: an edge violating commit order.
-		applyErr := sg.New().Apply(b.Delta)
-		if (idxErr != nil) != (applyErr != nil) {
-			t.Fatalf("index err %v but naive Apply err %v", idxErr, applyErr)
+		// Oracle 1: delta validity. New (which primes the index) must
+		// reject exactly the deltas Apply rejects: an edge violating
+		// commit order. The generator's other parts are always valid.
+		applyErr := sg.New().Apply(delta)
+		if (newErr != nil) != (applyErr != nil) {
+			t.Fatalf("New err %v but naive Apply err %v", newErr, applyErr)
 		}
-		if idxErr != nil {
+		if newErr != nil {
 			return // both sides reject; nothing further to compare
+		}
+		x, err := b.PrimeIndex()
+		if err != nil {
+			t.Fatalf("PrimeIndex failed on a becast New accepted: %v", err)
 		}
 
 		// Oracle 2: item-granularity membership and first writers.
@@ -168,13 +170,13 @@ func FuzzCycleIndex(f *testing.F) {
 		for i := range b.Entries {
 			item := b.Entries[i].Item
 			walked := b.OldVersionsOf(item)
-			indexed := b.OldVersionsIndexed(item)
+			indexed := x.OldVersionsOf(item)
 			if len(walked) != len(indexed) {
-				t.Fatalf("OldVersionsIndexed(%d) = %v, walk %v", item, indexed, walked)
+				t.Fatalf("OldVersionsOf(%d) = %v, walk %v", item, indexed, walked)
 			}
 			for k := range walked {
 				if walked[k] != indexed[k] {
-					t.Fatalf("OldVersionsIndexed(%d) = %v, walk %v", item, indexed, walked)
+					t.Fatalf("OldVersionsOf(%d) = %v, walk %v", item, indexed, walked)
 				}
 			}
 		}

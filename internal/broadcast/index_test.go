@@ -45,24 +45,22 @@ func testBcast(t *testing.T) *Bcast {
 	return b
 }
 
+// TestPrimeIndexIdempotent: New primes the index before returning, and
+// every later PrimeIndex returns that same index instead of rebuilding it.
 func TestPrimeIndexIdempotent(t *testing.T) {
 	b := testBcast(t)
-	if b.SharedIndex() != nil {
-		t.Fatal("fresh becast already has an index")
+	primed := b.index.Load()
+	if primed == nil {
+		t.Fatal("New returned an unindexed becast")
 	}
-	x1, err := b.PrimeIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	x2, err := b.PrimeIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x1 != x2 {
-		t.Error("PrimeIndex rebuilt the index on a second call")
-	}
-	if b.SharedIndex() != x1 {
-		t.Error("SharedIndex does not return the primed index")
+	for i := 0; i < 2; i++ {
+		x, err := b.PrimeIndex()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x != primed {
+			t.Fatalf("PrimeIndex call %d rebuilt the index", i+1)
+		}
 	}
 }
 
@@ -125,26 +123,19 @@ func TestCycleIndexBucketExpansion(t *testing.T) {
 
 func TestOldVersionsIndexedMatchesScan(t *testing.T) {
 	b := testBcast(t)
-	// Unprimed: must defer to the pointer walk.
-	for item := model.ItemID(1); item <= 10; item++ {
-		walked := b.OldVersionsOf(item)
-		indexed := b.OldVersionsIndexed(item)
-		if len(walked) != len(indexed) {
-			t.Fatalf("unprimed: item %d: indexed %v != walked %v", item, indexed, walked)
-		}
-	}
-	if _, err := b.PrimeIndex(); err != nil {
+	x, err := b.PrimeIndex()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for item := model.ItemID(1); item <= 10; item++ {
 		walked := b.OldVersionsOf(item)
-		indexed := b.OldVersionsIndexed(item)
+		indexed := x.OldVersionsOf(item)
 		if len(walked) != len(indexed) {
-			t.Fatalf("primed: item %d: indexed %v != walked %v", item, indexed, walked)
+			t.Fatalf("item %d: indexed %v != walked %v", item, indexed, walked)
 		}
 		for i := range walked {
 			if walked[i] != indexed[i] {
-				t.Fatalf("primed: item %d: indexed %v != walked %v", item, indexed, walked)
+				t.Fatalf("item %d: indexed %v != walked %v", item, indexed, walked)
 			}
 		}
 	}

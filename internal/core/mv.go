@@ -26,7 +26,8 @@ type mvBroadcast struct {
 
 	cur   *broadcast.Bcast
 	prev  *broadcast.Bcast
-	cache *cache.Cache // nil when cacheless; holds current versions
+	idx   *broadcast.CycleIndex // cur's control-information index
+	cache *cache.Cache          // nil when cacheless; holds current versions
 	t     txn
 }
 
@@ -73,6 +74,11 @@ func (s *mvBroadcast) Abort() { s.t.reset() }
 //
 //lint:hotpath runs once per client per broadcast cycle
 func (s *mvBroadcast) NewCycle(b *broadcast.Bcast) error {
+	// Produced and decoded becasts arrive primed: this is a lookup.
+	idx, err := b.PrimeIndex()
+	if err != nil {
+		return err
+	}
 	if s.cur != nil {
 		if b.Cycle <= s.cur.Cycle {
 			return nil // duplicate or late frame: already processed
@@ -85,11 +91,11 @@ func (s *mvBroadcast) NewCycle(b *broadcast.Bcast) error {
 			}
 		}
 	}
-	s.prev, s.cur = s.cur, b
+	s.prev, s.cur, s.idx = s.cur, b, idx
 	autoprefetch(s.cache, s.prev)
 	if s.cache != nil {
-		for _, e := range b.Report {
-			s.cache.Invalidate(e.Item)
+		for _, item := range idx.Ordered() {
+			s.cache.Invalidate(item)
 		}
 	}
 	return nil
@@ -155,11 +161,9 @@ func (s *mvBroadcast) ServeChannel(item model.ItemID, pos int) (Read, int, error
 		return s.deliver(item, entry.Version, SourceBroadcast, slot), slot, nil
 	}
 	// Walk the overflow chain for the newest version at or before c0
-	// (versions are stored newest-first). With a shared CycleIndex primed
-	// on the becast the group is located through the precomputed span
-	// table instead of re-scanning the overflow segment per client; both
-	// paths return the identical slice.
-	olds := s.oldVersions(item)
+	// (versions are stored newest-first). The index's span table locates
+	// the group without re-scanning the overflow segment per client.
+	olds := s.idx.OldVersionsOf(item)
 	for i, ov := range olds {
 		if ov.Version.Cycle <= s.t.start {
 			ovSlot := s.cur.OverflowSlot(entry.Overflow + i)
@@ -171,16 +175,6 @@ func (s *mvBroadcast) ServeChannel(item model.ItemID, pos int) (Read, int, error
 	}
 	s.t.doomed = abortErr("%v has no on-air version at or before %v (span exceeds retained versions)", item, s.t.start)
 	return Read{}, 0, s.t.doomed
-}
-
-// oldVersions returns the item's on-air overflow group, via the shared
-// index's span table when one is primed (and not forced off), or the
-// becast's own pointer walk otherwise.
-func (s *mvBroadcast) oldVersions(item model.ItemID) []broadcast.OldVersion {
-	if s.opts.ForceLocalIndex {
-		return s.cur.OldVersionsOf(item)
-	}
-	return s.cur.OldVersionsIndexed(item)
 }
 
 func (s *mvBroadcast) deliver(item model.ItemID, v model.Version, src ReadSource, slot int) Read {

@@ -25,7 +25,6 @@ type mvCache struct {
 	prev  *broadcast.Bcast
 	multi *cache.MultiCache
 	t     txn
-	view  cycleView   // this cycle's report view (shared index or local scratch)
 	cu    model.Cycle // first cycle an item of the readset was invalidated
 
 	// invalidate is the per-cycle invalidation callback, built once at
@@ -89,6 +88,11 @@ func (s *mvCache) Abort() { s.t.reset(); s.cu = 0 }
 //
 //lint:hotpath runs once per client per broadcast cycle
 func (s *mvCache) NewCycle(b *broadcast.Bcast) error {
+	// Produced and decoded becasts arrive primed: this is a lookup.
+	idx, err := b.PrimeIndex()
+	if err != nil {
+		return err
+	}
 	if s.cur != nil {
 		if b.Cycle <= s.cur.Cycle {
 			return nil // duplicate or late frame: already processed
@@ -114,15 +118,14 @@ func (s *mvCache) NewCycle(b *broadcast.Bcast) error {
 			}
 		}
 	}
-	s.view.load(b, s.opts.BucketGranularity, s.opts.ForceLocalIndex)
 	s.invCycle = b.Cycle
-	s.view.each(len(b.Entries), s.invalidate)
+	idx.EachInvalidated(s.opts.BucketGranularity, s.invalidate)
 	if s.t.active && s.t.doomed == nil && s.cu == 0 {
 		// Sorted readset walk: the degradation event names the first
 		// invalidated item, which must not depend on map-iteration order.
 		s.keyScratch = det.AppendSortedKeys(s.keyScratch[:0], s.t.readset)
 		for _, item := range s.keyScratch {
-			if s.view.invalidates(item) {
+			if idx.Invalidates(item, s.opts.BucketGranularity) {
 				recordInvHit(s.opts.Recorder, b.Cycle, item, "degraded")
 				s.cu = b.Cycle
 				break

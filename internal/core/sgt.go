@@ -33,8 +33,7 @@ type sgt struct {
 	prev   *broadcast.Bcast
 	cache  *cache.Cache // nil when cacheless
 	t      txn
-	view   cycleView // this cycle's report view (shared index or local scratch)
-	resync bool      // a cycle was missed; the next NewCycle may jump
+	resync bool // a cycle was missed; the next NewCycle may jump
 
 	// targets are R's precedence targets (the heads of its outgoing
 	// edges); targetSet dedupes them.
@@ -114,6 +113,11 @@ func (s *sgt) clearTxnGraphState() {
 //
 //lint:hotpath runs once per client per broadcast cycle
 func (s *sgt) NewCycle(b *broadcast.Bcast) error {
+	// Produced and decoded becasts arrive primed: this is a lookup.
+	idx, err := b.PrimeIndex()
+	if err != nil {
+		return err
+	}
 	if s.cur != nil {
 		if b.Cycle <= s.cur.Cycle {
 			return nil // duplicate or late frame: already processed
@@ -137,21 +141,15 @@ func (s *sgt) NewCycle(b *broadcast.Bcast) error {
 		floor = s.invalidFrom
 	}
 	s.graph.PruneBefore(floor)
-	s.view.load(b, 1, s.opts.ForceLocalIndex) // SGT is defined at item granularity
-	if idx := s.view.idx; idx != nil {
-		// Shared path: the delta was validated, deduplicated, and grouped
-		// into adjacency form once, by the producer; integrating it is a
-		// straight merge.
-		if cd := idx.Delta(); cd != nil {
-			s.graph.ApplyCompiled(cd)
-		}
-	} else if err := s.graph.Apply(b.Delta); err != nil {
-		return fmt.Errorf("core: integrate SG delta: %w", err)
+	// The delta was validated once, when the becast was indexed;
+	// integrating it is a straight merge.
+	if cd := idx.Delta(); cd != nil {
+		s.graph.ApplyCompiled(cd)
 	}
 
 	if s.cache != nil {
-		for _, e := range b.Report {
-			s.cache.Invalidate(e.Item)
+		for _, item := range idx.Ordered() {
+			s.cache.Invalidate(item)
 		}
 	}
 	if s.t.active && s.t.doomed == nil {
@@ -159,10 +157,8 @@ func (s *sgt) NewCycle(b *broadcast.Bcast) error {
 		// downstream ordering) must not inherit map-iteration order.
 		s.keyScratch = det.AppendSortedKeys(s.keyScratch[:0], s.t.readset)
 		for _, item := range s.keyScratch {
-			if !s.view.invalidates(item) {
-				continue
-			}
-			tf, ok := s.view.firstWriter(item)
+			// SGT is defined at item granularity.
+			tf, ok := idx.FirstWriter(item)
 			if !ok {
 				continue
 			}

@@ -21,9 +21,9 @@
 // the log additionally spills to an append-only segmented disk log
 // (internal/durlog): every produced becast is appended before it is
 // published, Config.MemCycles bounds the in-memory window to the hottest
-// suffix (cold cycles are served transparently from disk — decoded frames
-// are unindexed, exactly like network-received becasts, which the
-// shared-index differential suite proves is invisible), and a source
+// suffix (cold cycles are served transparently from disk, indexed from
+// the decoded frame exactly like network-received becasts, which the
+// restart differential suite proves is invisible), and a source
 // reopened over the same directory resumes production at the next cycle,
 // byte-identical to one that never stopped.
 package cyclesource
@@ -72,13 +72,6 @@ type Config struct {
 	// chunk (with its invalidation report), rotating round-robin. Must
 	// divide len(Program).
 	Chunks int
-
-	// DisableIndex skips priming the shared per-cycle CycleIndex on
-	// produced becasts. Consumers then rebuild their control-info
-	// structures locally, as they do for becasts decoded from network
-	// frames; results are identical either way. Used by the differential
-	// suite and benchmarks that measure the per-client rebuild cost.
-	DisableIndex bool
 
 	// Check retains state snapshots and cycle logs so committed queries
 	// can be verified against the archived database states; see Check on
@@ -323,10 +316,10 @@ func workerCount(w int) int {
 // Get returns the i-th becast (0-based), producing cycles up to i if they
 // have not been produced yet. Becasts are immutable once returned. Cycles
 // inside the in-memory window are returned directly; cycles that spilled
-// to disk (or predate a resume) are decoded from the durable log — fresh
-// and unindexed, exactly like becasts decoded from network frames, which
-// the shared-index differential suite proves is observationally
-// invisible.
+// to disk (or predate a resume) are decoded from the durable log and
+// carry an index rebuilt from the decoded frame, exactly like becasts
+// decoded from network frames; the restart differential suite proves the
+// two indexes answer identically.
 func (s *Source) Get(i int) (*broadcast.Bcast, error) {
 	if i < 0 {
 		return nil, fmt.Errorf("cyclesource: negative cycle index %d", i)
@@ -404,14 +397,12 @@ func (s *Source) produce() error {
 	if err != nil {
 		return err
 	}
-	if !s.cfg.DisableIndex {
-		// Derive the shared control-info index exactly once, under the
-		// production lock, before the becast is published to consumers:
-		// every client of the stream then reads the same immutable
-		// structures instead of rebuilding them per client per cycle.
-		if _, err := b.PrimeIndex(); err != nil {
-			return err
-		}
+	// Derive the shared control-info index exactly once, under the
+	// production lock, before the becast is published to consumers: every
+	// client of the stream then reads the same immutable structures
+	// instead of rebuilding them per client per cycle.
+	if _, err := b.PrimeIndex(); err != nil {
+		return err
 	}
 	if s.dlog != nil {
 		// Durability point: the cycle reaches the disk log before any

@@ -356,7 +356,8 @@ func (l *Log) AppendCycle(b *broadcast.Bcast) error {
 }
 
 // ReadCycle decodes cycle i (0-based) from disk. The returned becast is
-// fresh and unindexed, exactly like one decoded from a network frame.
+// fresh, with its CycleIndex rebuilt from the decoded frame, exactly like
+// one decoded from a network frame.
 func (l *Log) ReadCycle(i int) (*broadcast.Bcast, error) {
 	l.mu.RLock()
 	if l.closed {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bpush/internal/broadcast"
+	"bpush/internal/broadcast/broadcasttest"
 	"bpush/internal/client"
 	"bpush/internal/core"
 	"bpush/internal/model"
@@ -368,20 +369,15 @@ func mustEncode(t *testing.T, b *broadcast.Bcast) []byte {
 	return frame
 }
 
-// TestCorruptSurvivorCarriesNoIndex pins the shared-index fallback the
-// fault layer forces: when a corrupted frame's bit flips cancel out and the
-// frame still decodes, the injector delivers the *re-decoded* becast — and
-// a decoded becast never carries the producer's shared CycleIndex, so the
-// subscriber that heard the mangled frame rebuilds its control-info
-// structures locally. The survivor's content must still round-trip.
-func TestCorruptSurvivorCarriesNoIndex(t *testing.T) {
+// TestCorruptSurvivorIndexMatchesProducer: when a corrupted frame's bit
+// flips cancel out and the frame still decodes, the injector delivers the
+// *re-decoded* becast, whose index was rebuilt from the decoded control
+// segment. It must answer every query exactly like the producer's.
+func TestCorruptSurvivorIndexMatchesProducer(t *testing.T) {
 	cycles := makeCycles(t, 1)
 	b := cycles[0]
 	if _, err := b.PrimeIndex(); err != nil {
 		t.Fatal(err)
-	}
-	if b.SharedIndex() == nil {
-		t.Fatal("producer-side becast not primed")
 	}
 	in, err := New(&sliceFeed{bs: cycles}, Plan{Corrupt: 1}, 1)
 	if err != nil {
@@ -398,11 +394,11 @@ func TestCorruptSurvivorCarriesNoIndex(t *testing.T) {
 		if got == b {
 			t.Fatal("corrupt path returned the original becast, not a re-decode")
 		}
-		if got.SharedIndex() != nil {
-			t.Fatal("re-decoded survivor carries a shared index; the fallback to local build is broken")
-		}
 		if got.Cycle != b.Cycle || len(got.Entries) != len(b.Entries) || len(got.Report) != len(b.Report) {
 			t.Fatalf("survivor content differs from the original: cycle %v/%v", got.Cycle, b.Cycle)
+		}
+		if err := broadcasttest.IndexDiff(b, got); err != nil {
+			t.Fatalf("survivor's index: %v", err)
 		}
 		return
 	}

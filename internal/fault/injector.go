@@ -108,10 +108,7 @@ func (in *Injector) NextEvent() (client.Event, error) {
 		}
 		// The flips cancelled out and the checksum still holds — the
 		// frame is bit-identical data, deliver it. The re-decoded becast
-		// carries no shared CycleIndex (indexes never cross the wire), so
-		// a frame that passed through corruption — even harmlessly —
-		// invalidates the shared index for this subscriber and its scheme
-		// falls back to the local per-cycle build.
+		// carries its own CycleIndex, rebuilt from the decoded frame.
 		b = got
 	}
 	if in.plan.Truncate > 0 && in.rng.Float64() < in.plan.Truncate {

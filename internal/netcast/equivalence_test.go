@@ -15,9 +15,10 @@ import (
 
 // The equivalence suite pins the sharded broadcaster's core contract:
 // sharding changes who writes, never what is written. Every subscriber,
-// at every shard count, hears the byte-identical stream the retained
-// serial writer produces — the frame is encoded once and shared, so
-// there is no per-path re-encoding that could diverge.
+// at every shard count, hears the byte-identical concatenation of the
+// seeded source's cycles as wire.Encode renders them — the frame is
+// encoded once and shared, so there is no per-path re-encoding that
+// could diverge.
 
 // equivStation builds a manual-tick station with the given fan-out
 // config and a fixed seed shared by every configuration under test.
@@ -93,22 +94,39 @@ func runEquivConfig(t *testing.T, cast Config, subs, cycles int) [][]byte {
 	return streams
 }
 
+// encodedStream is the reference every subscriber must hear: the seeded
+// source's first cycles becasts, each rendered by wire.Encode, in order.
+func encodedStream(t *testing.T, cycles int) []byte {
+	t.Helper()
+	feed := equivStation(t, Config{}).Source().NewFeed()
+	var buf bytes.Buffer
+	for i := 0; i < cycles; i++ {
+		b, err := feed.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := wire.Encode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf.Write(frame)
+	}
+	return buf.Bytes()
+}
+
 // TestShardedStreamEquivalence is the differential matrix: shard counts
 // {1, 2, 8} crossed with subscriber counts {1, 16, 256}, every stream
-// compared byte-for-byte against the single-subscriber serial baseline.
+// compared byte-for-byte against the encoded reference stream.
 func TestShardedStreamEquivalence(t *testing.T) {
 	const cycles = 5
-	baseline := runEquivConfig(t, Config{Serial: true}, 1, cycles)[0]
-	if len(baseline) == 0 {
-		t.Fatal("serial baseline captured an empty stream")
-	}
+	baseline := encodedStream(t, cycles)
 	for _, shards := range []int{1, 2, 8} {
 		for _, subs := range []int{1, 16, 256} {
 			t.Run(fmt.Sprintf("shards=%d/subs=%d", shards, subs), func(t *testing.T) {
 				streams := runEquivConfig(t, Config{Shards: shards}, subs, cycles)
 				for i, s := range streams {
 					if !bytes.Equal(s, baseline) {
-						t.Fatalf("subscriber %d of %d (shards=%d): stream diverges from serial baseline (%d vs %d bytes)",
+						t.Fatalf("subscriber %d of %d (shards=%d): stream diverges from the encoded reference (%d vs %d bytes)",
 							i, subs, shards, len(s), len(baseline))
 					}
 				}

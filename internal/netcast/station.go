@@ -46,7 +46,7 @@ type StationConfig struct {
 	// FaultSeed seeds the fault RNG; 0 derives it from Seed.
 	FaultSeed int64
 	// Cast tunes the fan-out tier: shard count, per-subscriber queue
-	// bound, write timeout, and the retained serial baseline. The zero
+	// bound, and write timeout. The zero
 	// value selects the sharded defaults.
 	Cast Config
 	// HTTPAddr, when non-empty, serves the station's live metrics over
@@ -249,19 +249,17 @@ func NewStation(cfg StationConfig) (*Station, error) {
 		return nil, err
 	}
 	if cfg.Sample {
-		if !bc.cfg.Serial {
-			drain := make([]*obs.Histogram, bc.cfg.Shards)
-			for i := range drain {
-				drain[i] = reg.Histogram(fmt.Sprintf("net.shard.%d.drain_ns", i), spanNsBounds)
-			}
-			stride := cfg.SampleStride
-			if stride <= 0 {
-				stride = DefaultSampleStride
-			}
-			if err := bc.SampleLag(clock, reg.Histogram("net.queue_depth", queueDepthBounds), drain, stride); err != nil {
-				_ = bc.Close()
-				return nil, err
-			}
+		drain := make([]*obs.Histogram, bc.cfg.Shards)
+		for i := range drain {
+			drain[i] = reg.Histogram(fmt.Sprintf("net.shard.%d.drain_ns", i), spanNsBounds)
+		}
+		stride := cfg.SampleStride
+		if stride <= 0 {
+			stride = DefaultSampleStride
+		}
+		if err := bc.SampleLag(clock, reg.Histogram("net.queue_depth", queueDepthBounds), drain, stride); err != nil {
+			_ = bc.Close()
+			return nil, err
 		}
 	}
 	s := &Station{
@@ -301,9 +299,8 @@ func (s *Station) Cast() *Broadcaster { return s.bc }
 
 // Source returns the station's cycle producer, e.g. to attach in-process
 // consumers to the same stream the network subscribers hear. In-process
-// consumers see the producer's shared CycleIndex on every becast; network
-// subscribers decode frames into fresh, unindexed becasts (the index
-// never crosses the wire) and rebuild the same structures locally.
+// consumers share the producer's CycleIndex on every becast; a network
+// subscriber's decoded becast carries an index rebuilt from the frame.
 func (s *Station) Source() *cyclesource.Source { return s.src }
 
 // Registry returns the station's live metric registry — the object the

@@ -11,63 +11,101 @@ import (
 	"bpush/internal/obs"
 )
 
-// differentialSeeds is the seed sweep of the shared-index differential
-// suite: enough seeds that every scheme path (aborts, marked continuations,
-// overflow walks, graph pruning) is exercised under both index modes.
-var differentialSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34}
-
-// diffRun executes cfg once and returns its metrics plus the canonical
-// JSONL traces (client and producer streams).
-func diffRun(t *testing.T, cfg Config) (*Metrics, []byte, []byte) {
+// sourceRun executes cfg once over its own source and returns its metrics,
+// the canonical JSONL traces (client and producer streams) and the number
+// of cycles the source produced.
+func sourceRun(t *testing.T, cfg Config) (*Metrics, []byte, []byte, uint64) {
 	t.Helper()
 	var cbuf, sbuf bytes.Buffer
 	cw, sw := obs.NewJSONL(&cbuf), obs.NewJSONL(&sbuf)
 	cfg.Recorder = cw
 	cfg.SourceRecorder = sw
-	m, err := Run(cfg)
+	src, err := cfg.NewSource()
 	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := runClient(cfg, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	produced := src.Produced()
+	if err := src.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if cw.Err() != nil || sw.Err() != nil {
 		t.Fatalf("trace write errors: %v / %v", cw.Err(), sw.Err())
 	}
-	return m, cbuf.Bytes(), sbuf.Bytes()
+	return m, cbuf.Bytes(), sbuf.Bytes(), produced
 }
 
-// assertIndexInvisible runs cfg under the shared per-cycle index and again
-// with ForceLocalIndex (every consumer rebuilds its control-info
-// structures from the raw becast) and requires the two executions to be
-// observationally identical: equal Metrics and byte-identical JSONL
-// traces. This is the tentpole's acceptance property — the shared index is
-// an optimization, never a behavior change.
+// decodedConfig returns cfg backed by a fresh durable log with a small
+// memory window, so a reopened source serves every cycle from disk.
+func decodedConfig(t *testing.T, cfg Config) Config {
+	t.Helper()
+	dcfg := cfg
+	dcfg.LogDir = t.TempDir()
+	dcfg.MemCycles = 8
+	dcfg.SnapshotEvery = 10
+	return dcfg
+}
+
+// assertIndexInvisible runs cfg with every consumer reading the index the
+// producer primed, then runs the same client workload again with every
+// cycle read back from the durable log — wire.Decode and broadcast.New
+// rebuild each cycle's index from its frame — and requires the two
+// executions to be observationally identical: equal Metrics and
+// byte-identical client and producer traces. The shared index is an
+// optimization of the one control-info derivation, never a behavior
+// change, whichever side of the wire builds it.
 func assertIndexInvisible(t *testing.T, cfg Config) {
 	t.Helper()
-	shared := cfg
-	shared.ForceLocalIndex = false
-	local := cfg
-	local.ForceLocalIndex = true
+	sm, sc, ss, produced := sourceRun(t, cfg)
 
-	sm, sc, ss := diffRun(t, shared)
-	lm, lc, ls := diffRun(t, local)
+	dcfg := decodedConfig(t, cfg)
+	trace1 := durPhase1(t, dcfg, int(produced))
 
-	if !reflect.DeepEqual(sm, lm) {
-		t.Errorf("metrics differ between shared and local index:\nshared: %+v\nlocal:  %+v", sm, lm)
+	var cbuf, sbuf bytes.Buffer
+	cw, sw := obs.NewJSONL(&cbuf), obs.NewJSONL(&sbuf)
+	dcfg.Recorder = cw
+	dcfg.SourceRecorder = sw
+	src, err := dcfg.NewSource()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = src.Close() }()
+	if got := src.Produced(); got != produced {
+		t.Fatalf("reopened source Produced() = %d, want %d", got, produced)
+	}
+	dm, err := runClient(dcfg, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := src.Produced(); got != produced {
+		t.Fatalf("decoded run produced %d new cycles; every cycle must come from the log", got-produced)
+	}
+	if cw.Err() != nil || sw.Err() != nil {
+		t.Fatalf("trace write errors: %v / %v", cw.Err(), sw.Err())
+	}
+
+	if !reflect.DeepEqual(sm, dm) {
+		t.Errorf("metrics differ between producer-primed and decoded index:\nshared:  %+v\ndecoded: %+v", sm, dm)
 	}
 	if len(sc) == 0 {
 		t.Fatalf("empty client trace")
 	}
-	if !bytes.Equal(sc, lc) {
-		t.Errorf("client traces differ between shared and local index (%d vs %d bytes)", len(sc), len(lc))
+	if !bytes.Equal(sc, cbuf.Bytes()) {
+		t.Errorf("client traces differ between producer-primed and decoded index (%d vs %d bytes)", len(sc), cbuf.Len())
 	}
-	if !bytes.Equal(ss, ls) {
-		t.Errorf("producer traces differ between shared and local index (%d vs %d bytes)", len(ss), len(ls))
+	joined := append(append([]byte(nil), trace1...), sbuf.Bytes()...)
+	if !bytes.Equal(ss, joined) {
+		t.Errorf("producer traces differ between producer-primed and decoded index (%d vs %d bytes)", len(ss), len(joined))
 	}
 }
 
 // TestSharedIndexDifferential is the full differential sweep: every scheme,
 // at item granularity and (where the method defines it) bucket granularity,
-// across eight seeds. Shared-index and forced-local runs must be
-// byte-identical.
+// across eight seeds. Runs over the producer-primed index and over indexes
+// rebuilt from decoded frames must be byte-identical.
 func TestSharedIndexDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed differential sweep")
@@ -107,11 +145,11 @@ func TestSharedIndexDifferential(t *testing.T) {
 	}
 }
 
-// TestSharedIndexDifferentialUnderFaults covers the fallback path the fault
-// layer forces: corrupted-but-decodable and truncated frames arrive as
-// fresh, unindexed becasts, so a chaos run mixes shared-index cycles with
-// locally rebuilt ones. The mix must still match a run with the index off
-// everywhere.
+// TestSharedIndexDifferentialUnderFaults adds the fault layer on top:
+// corrupted-but-decodable and truncated frames reach the client as fresh
+// becasts built through broadcast.New, so a chaos run mixes indexes from
+// the producer, the corrupt path and the durable log. The mix must still
+// match a run over the producer-primed index.
 func TestSharedIndexDifferentialUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault differential sweep")
@@ -144,28 +182,42 @@ func TestSharedIndexDifferentialUnderFaults(t *testing.T) {
 
 // TestSharedIndexDifferentialFleet extends the property to fleets: many
 // clients sharing one producer's index must produce exactly the metrics
-// and traces of a fleet where every client rebuilds locally.
+// and traces of a fleet that reads every cycle back from the durable log.
 func TestSharedIndexDifferentialFleet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet differential")
 	}
 	const clients = 5
-	run := func(forceLocal bool) ([]Metrics, []byte) {
-		cfg := testConfig(core.KindSGT, 40)
-		cfg.Queries = 40
-		cfg.Warmup = 5
-		cfg.Check = false
-		cfg.ForceLocalIndex = forceLocal
-		cfg.Parallel = 2
+	base := testConfig(core.KindSGT, 40)
+	base.Queries = 40
+	base.Warmup = 5
+	base.Check = false
+	base.Parallel = 2
+
+	// run executes the fleet over cfg's source; a positive want asserts the
+	// source already holds want cycles and produces none while the fleet runs.
+	run := func(cfg Config, want uint64) ([]Metrics, []byte, uint64) {
 		bufs := make([]bytes.Buffer, clients)
 		recs := make([]*obs.JSONL, clients)
 		for i := range recs {
 			recs[i] = obs.NewJSONL(&bufs[i])
 		}
 		cfg.RecorderFor = func(i int) obs.Recorder { return recs[i] }
-		fm, err := RunFleet(cfg, clients)
+		src, err := cfg.NewSource()
 		if err != nil {
 			t.Fatal(err)
+		}
+		defer func() { _ = src.Close() }()
+		if want > 0 && src.Produced() != want {
+			t.Fatalf("reopened fleet source Produced() = %d, want %d", src.Produced(), want)
+		}
+		fm, err := runFleet(cfg, src, clients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		produced := src.Produced()
+		if want > 0 && produced != want {
+			t.Fatalf("decoded fleet produced %d new cycles; every cycle must come from the log", produced-want)
 		}
 		var out bytes.Buffer
 		for i := range bufs {
@@ -179,17 +231,21 @@ func TestSharedIndexDifferentialFleet(t *testing.T) {
 		for i, m := range fm.PerClient {
 			perClient[i] = *m
 		}
-		return perClient, out.Bytes()
+		return perClient, out.Bytes(), produced
 	}
-	sharedM, sharedT := run(false)
-	localM, localT := run(true)
-	if !reflect.DeepEqual(sharedM, localM) {
-		t.Errorf("fleet metrics differ between shared and local index")
+
+	sharedM, sharedT, produced := run(base, 0)
+	dcfg := decodedConfig(t, base)
+	durPhase1(t, dcfg, int(produced))
+	decodedM, decodedT, _ := run(dcfg, produced)
+
+	if !reflect.DeepEqual(sharedM, decodedM) {
+		t.Errorf("fleet metrics differ between producer-primed and decoded index")
 	}
 	if len(sharedT) == 0 {
 		t.Fatalf("empty fleet trace")
 	}
-	if !bytes.Equal(sharedT, localT) {
-		t.Errorf("fleet traces differ between shared and local index")
+	if !bytes.Equal(sharedT, decodedT) {
+		t.Errorf("fleet traces differ between producer-primed and decoded index")
 	}
 }

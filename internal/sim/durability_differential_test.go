@@ -7,8 +7,32 @@ import (
 	"testing"
 
 	"bpush/internal/core"
+	"bpush/internal/fault"
 	"bpush/internal/obs"
 )
+
+// differentialSeeds is the seed sweep of the restart differential suite:
+// enough seeds that every scheme path (aborts, marked continuations,
+// overflow walks, graph pruning) is exercised.
+var differentialSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34}
+
+// diffRun executes cfg once and returns its metrics plus the canonical
+// JSONL traces (client and producer streams).
+func diffRun(t *testing.T, cfg Config) (*Metrics, []byte, []byte) {
+	t.Helper()
+	var cbuf, sbuf bytes.Buffer
+	cw, sw := obs.NewJSONL(&cbuf), obs.NewJSONL(&sbuf)
+	cfg.Recorder = cw
+	cfg.SourceRecorder = sw
+	m, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cw.Err() != nil || sw.Err() != nil {
+		t.Fatalf("trace write errors: %v / %v", cw.Err(), sw.Err())
+	}
+	return m, cbuf.Bytes(), sbuf.Bytes()
+}
 
 // durPhase1 produces `stop` cycles into cfg.LogDir with no client
 // attached — the run that gets killed — and returns its producer trace.
@@ -95,32 +119,67 @@ func assertRestartEquivalent(t *testing.T, cfg Config, stop int) {
 }
 
 // TestDurabilityRestartEquivalence sweeps the restart differential over
-// the eight differential seeds at item and bucket granularity.
+// every scheme variant at item and bucket granularity and the eight
+// differential seeds, plus corrupt-heavy and chaos fault-plan rows. A
+// resumed run reads its early cycles back through durlog, wire.Decode and
+// broadcast.New, so every scheme's view of those cycles comes from an
+// index rebuilt from a decoded frame; byte-equal traces pin that index to
+// the one the producer primed.
 func TestDurabilityRestartEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed restart differential")
 	}
-	variants := []struct {
+	type variant struct {
 		name string
 		opts core.Options
-	}{
-		{"item", core.Options{Kind: core.KindVCache, CacheSize: 40}},
-		{"bucket", core.Options{Kind: core.KindVCache, CacheSize: 40, BucketGranularity: 8}},
 	}
-	for _, v := range variants {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			for _, seed := range differentialSeeds {
-				cfg := testConfig(v.opts.Kind, v.opts.CacheSize)
-				cfg.Scheme = v.opts
-				cfg.Seed = seed
-				cfg.Queries = 60
-				cfg.Warmup = 10
-				cfg.Check = false
-				assertRestartEquivalent(t, cfg, 25)
-				if t.Failed() {
-					t.Fatalf("divergence at seed %d", seed)
-				}
+	item := []variant{
+		{"inv-only", core.Options{Kind: core.KindInvOnly}},
+		{"vcache", core.Options{Kind: core.KindVCache, CacheSize: 40}},
+		{"multiversion", core.Options{Kind: core.KindMVBroadcast}},
+		{"mv-cache", core.Options{Kind: core.KindMVCache, CacheSize: 40, OldFraction: 0.6}},
+		{"sgt", core.Options{Kind: core.KindSGT, CacheSize: 40}},
+	}
+	bucket := []variant{
+		{"inv-only-bucket", core.Options{Kind: core.KindInvOnly, CacheSize: 40, BucketGranularity: 8}},
+		{"vcache-bucket", core.Options{Kind: core.KindVCache, CacheSize: 40, BucketGranularity: 8}},
+		{"mv-cache-bucket", core.Options{Kind: core.KindMVCache, CacheSize: 40, BucketGranularity: 8}},
+	}
+	all := append(append([]variant(nil), item...), bucket...)
+	groups := []struct {
+		name     string
+		variants []variant
+		plan     fault.Plan
+		seeds    []int64
+	}{
+		{"item", item, fault.Plan{}, differentialSeeds},
+		{"bucket", bucket, fault.Plan{}, differentialSeeds},
+		{"corrupt-heavy", all, fault.Plan{Corrupt: 0.3}, differentialSeeds[:4]},
+		{"chaos", all, fault.Plan{Drop: 0.05, Corrupt: 0.1, Truncate: 0.05, Duplicate: 0.05, Reorder: 0.03}, differentialSeeds[:4]},
+	}
+	for _, g := range groups {
+		g := g
+		t.Run(g.name, func(t *testing.T) {
+			for _, v := range g.variants {
+				v := v
+				t.Run(v.name, func(t *testing.T) {
+					for _, seed := range g.seeds {
+						cfg := testConfig(v.opts.Kind, v.opts.CacheSize)
+						cfg.Scheme = v.opts
+						cfg.Seed = seed
+						cfg.Queries = 60
+						cfg.Warmup = 10
+						cfg.Check = false
+						cfg.Fault = g.plan
+						if v.opts.Kind == core.KindMVBroadcast {
+							cfg.ServerVersions = 6
+						}
+						assertRestartEquivalent(t, cfg, 25)
+						if t.Failed() {
+							t.Fatalf("divergence at seed %d", seed)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -25,7 +25,7 @@ func BenchmarkActiveTxnConsumption(b *testing.B) {
 		{"mv-cache", core.Options{Kind: core.KindMVCache, CacheSize: 100}},
 		{"sgt", core.Options{Kind: core.KindSGT, CacheSize: 100}},
 	}
-	log := benchCycleLog(b, cycles, true)
+	log := benchCycleLog(b, cycles)
 	for _, sc := range schemes {
 		b.Run(sc.name, func(b *testing.B) {
 			b.ReportAllocs()

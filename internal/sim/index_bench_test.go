@@ -9,14 +9,10 @@ import (
 )
 
 // benchCycleLog produces one fixed cycle log at the default operating
-// point. With primed=true every becast carries the producer's shared
-// CycleIndex; with primed=false the becasts are raw and every consumer
-// must build its control-info structures locally.
-func benchCycleLog(b *testing.B, cycles int, primed bool) []*broadcast.Bcast {
+// point; every becast carries the producer's CycleIndex.
+func benchCycleLog(b *testing.B, cycles int) []*broadcast.Bcast {
 	b.Helper()
-	cfg := benchFleetConfig()
-	cfg.ForceLocalIndex = !primed
-	src, err := cfg.NewSource()
+	src, err := benchFleetConfig().NewSource()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -29,14 +25,11 @@ func benchCycleLog(b *testing.B, cycles int, primed bool) []*broadcast.Bcast {
 	return log
 }
 
-// BenchmarkCycleIndexConsumption isolates the term the shared index
-// shrinks: the per-client per-cycle cost of integrating a becast's
-// control information (NewCycle across a pre-produced log — production is
-// excluded, it is identical in both modes and already measured by
-// BenchmarkCycleProduction). "shared" consumes the producer's index;
-// "local" rebuilds per client per cycle, which is what every client paid
-// before the index existed. Reported as ns/client-cycle; summarized in
-// BENCH_sharedindex.json.
+// BenchmarkCycleIndexConsumption isolates the per-client per-cycle cost
+// of integrating a becast's control information through the producer's
+// index (NewCycle across a pre-produced log — production is excluded and
+// already measured by BenchmarkCycleProduction). Reported as
+// ns/client-cycle; BENCH_sharedindex.json records the history.
 func BenchmarkCycleIndexConsumption(b *testing.B) {
 	const cycles = 200
 	schemes := []struct {
@@ -48,74 +41,40 @@ func BenchmarkCycleIndexConsumption(b *testing.B) {
 		{"sgt", core.Options{Kind: core.KindSGT, CacheSize: 100}},
 	}
 	for _, sc := range schemes {
-		for _, mode := range []struct {
-			name       string
-			forceLocal bool
-		}{{"shared", false}, {"local", true}} {
-			for _, clients := range []int{1, 16, 64} {
-				name := fmt.Sprintf("%s/%s/clients=%d", sc.name, mode.name, clients)
-				b.Run(name, func(b *testing.B) {
-					log := benchCycleLog(b, cycles, true)
-					opts := sc.opts
-					opts.ForceLocalIndex = mode.forceLocal
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						for c := 0; c < clients; c++ {
-							s, err := core.New(opts)
-							if err != nil {
+		for _, clients := range []int{1, 16, 64} {
+			b.Run(fmt.Sprintf("%s/clients=%d", sc.name, clients), func(b *testing.B) {
+				log := benchCycleLog(b, cycles)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for c := 0; c < clients; c++ {
+						s, err := core.New(sc.opts)
+						if err != nil {
+							b.Fatal(err)
+						}
+						for _, bc := range log {
+							if err := s.NewCycle(bc); err != nil {
 								b.Fatal(err)
-							}
-							for _, bc := range log {
-								if err := s.NewCycle(bc); err != nil {
-									b.Fatal(err)
-								}
 							}
 						}
 					}
-					total := float64(b.Elapsed().Nanoseconds())
-					b.ReportMetric(total/float64(b.N*clients*cycles), "ns/client-cycle")
-				})
-			}
-		}
-	}
-}
-
-// BenchmarkSharedIndexFleet is the end-to-end check: full fleet runs with
-// the shared index on (production primes, clients consume) versus fully
-// off (production skips priming, every client rebuilds). At 1 client the
-// two must be within noise — the producer-side build replaces exactly one
-// local build — and the shared mode pulls ahead as clients multiply.
-func BenchmarkSharedIndexFleet(b *testing.B) {
-	for _, clients := range []int{1, 16, 64} {
-		for _, mode := range []struct {
-			name       string
-			forceLocal bool
-		}{{"shared", false}, {"local", true}} {
-			b.Run(fmt.Sprintf("clients=%d/%s", clients, mode.name), func(b *testing.B) {
-				cfg := benchFleetConfig()
-				cfg.ForceLocalIndex = mode.forceLocal
-				for i := 0; i < b.N; i++ {
-					if _, err := RunFleet(cfg, clients); err != nil {
-						b.Fatal(err)
-					}
 				}
+				total := float64(b.Elapsed().Nanoseconds())
+				b.ReportMetric(total/float64(b.N*clients*cycles), "ns/client-cycle")
 			})
 		}
 	}
 }
 
-// BenchmarkPrimeIndex isolates the producer-side cost the shared mode
-// adds: deriving one CycleIndex. This is paid once per cycle regardless
-// of fleet size — it is the "server-work" side of the trade.
+// BenchmarkPrimeIndex isolates the cost of deriving one CycleIndex: paid
+// once per produced cycle regardless of fleet size, and once per decoded
+// frame by each network subscriber.
 func BenchmarkPrimeIndex(b *testing.B) {
-	log := benchCycleLog(b, 200, false)
+	log := benchCycleLog(b, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		bc := log[i%len(log)]
-		x, err := broadcast.NewCycleIndex(bc)
-		if err != nil {
+		if _, err := broadcast.NewCycleIndex(bc); err != nil {
 			b.Fatal(err)
 		}
-		_ = x
 	}
 }

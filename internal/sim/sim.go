@@ -92,15 +92,6 @@ type Config struct {
 	// DBSize, ServerTx, and Updates; incompatible with broadcast disks.
 	Intervals int
 
-	// ForceLocalIndex disables the shared per-cycle control-info index end
-	// to end: the producer does not prime a CycleIndex on its becasts and
-	// every client rebuilds its report/delta structures locally, exactly as
-	// the pre-index code did. Runs are specified to be byte-identical with
-	// the flag on or off (same metrics, same traces); the differential
-	// suite enforces that, and benchmarks use the flag to measure the
-	// per-client rebuild cost the shared index removes.
-	ForceLocalIndex bool
-
 	// Run control.
 	Queries      int   // measured queries
 	Warmup       int   // unmeasured queries to reach steady state
@@ -287,7 +278,6 @@ func (c Config) NewSource() (*cyclesource.Source, error) {
 		Chunks:        intervals,
 		Check:         c.Check,
 		OracleWindow:  c.OracleWindow,
-		DisableIndex:  c.ForceLocalIndex,
 		LogDir:        c.LogDir,
 		MemCycles:     c.MemCycles,
 		SnapshotEvery: c.SnapshotEvery,
@@ -326,9 +316,6 @@ func runClient(cfg Config, src *cyclesource.Source) (*Metrics, error) {
 	}
 	sopts := cfg.Scheme
 	sopts.Recorder = rec
-	if cfg.ForceLocalIndex {
-		sopts.ForceLocalIndex = true
-	}
 	scheme, err := core.New(sopts)
 	if err != nil {
 		return nil, err

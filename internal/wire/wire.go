@@ -130,12 +130,11 @@ func Encode(b *broadcast.Bcast) ([]byte, error) {
 // from one stream; pass a *bufio.Reader for performance (Decode issues
 // many small reads).
 //
-// The shared control-info index (broadcast.CycleIndex) never crosses the
-// wire: it is derived state, reconstructible from the frame's control
-// segment, and trusting an index computed on the far side of a lossy
-// channel would couple a subscriber's correctness to bytes the checksum
-// does not cover. Decoded becasts therefore start unindexed and each
-// consumer rebuilds its view locally — identical results either way.
+// The control-info index (broadcast.CycleIndex) is derived state and is
+// not encoded: broadcast.New rebuilds it from the checksum-verified
+// control segment, so every decoded becast arrives indexed, answering
+// exactly as the producer's did. Every rejection, checksum or structural,
+// is an ErrBadFrame.
 func Decode(r io.Reader) (*broadcast.Bcast, error) {
 	br := r
 	var magic uint32
@@ -316,7 +315,15 @@ func Decode(r io.Reader) (*broadcast.Bcast, error) {
 	if got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch %#x != %#x", ErrBadFrame, got, want)
 	}
-	return broadcast.New(model.Cycle(cycle), report, delta, entries, overflow, int(committed), int(totalItems))
+	// A checksum-valid frame can still be structurally unusable (an
+	// overflow pointer out of range, an empty data segment, an SG delta
+	// that breaks commit order); those are bad frames too, so a tuner
+	// counts and resyncs past them instead of failing.
+	b, err := broadcast.New(model.Cycle(cycle), report, delta, entries, overflow, int(committed), int(totalItems))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
+	}
+	return b, nil
 }
 
 // DecodeBytes decodes a single frame held in memory — the fault layer's

@@ -2,13 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"bpush/internal/broadcast"
+	"bpush/internal/broadcast/broadcasttest"
 	"bpush/internal/model"
 	"bpush/internal/server"
 	"bpush/internal/sg"
@@ -245,12 +248,10 @@ func BenchmarkDecode(b *testing.B) {
 	}
 }
 
-// TestDecodedBecastCarriesNoIndex pins the frame format's scope: the
-// shared control-info index is derived state and never crosses the wire.
-// A primed becast encodes to the same bytes as an unprimed one, and the
-// decoded becast starts unindexed — the subscriber rebuilds locally from
-// the content the checksum actually covers.
-func TestDecodedBecastCarriesNoIndex(t *testing.T) {
+// TestDecodedIndexMatchesProducer: the index is derived state, so priming
+// it leaves the frame unchanged, and the becast decoded from that frame
+// arrives indexed, answering every query exactly like the producer's.
+func TestDecodedIndexMatchesProducer(t *testing.T) {
 	b := buildBcast(t)
 	unprimed, err := Encode(b)
 	if err != nil {
@@ -264,13 +265,50 @@ func TestDecodedBecastCarriesNoIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(unprimed, primed) {
-		t.Error("priming the shared index changed the encoded frame")
+		t.Error("priming the index changed the encoded frame")
 	}
 	got, err := DecodeBytes(primed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.SharedIndex() != nil {
-		t.Error("decoded becast carries a shared index")
+	if err := broadcasttest.IndexDiff(b, got); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDecodeWrapsStructuralRejections: a checksum-valid frame whose parts
+// broadcast.New rejects is a bad frame like any other, so a tuner counts
+// it and resyncs instead of failing with a transport error.
+func TestDecodeWrapsStructuralRejections(t *testing.T) {
+	encode := func(b *broadcast.Bcast) []byte {
+		t.Helper()
+		frame, err := Encode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	// Encode refuses an empty data segment, so that frame is built by
+	// hand: the header, five zero segment lengths, and the checksum.
+	body := append([]byte{Version}, make([]byte, 16+5*4)...)
+	empty := binary.BigEndian.AppendUint32(nil, Magic)
+	empty = append(empty, body...)
+	empty = binary.BigEndian.AppendUint32(empty, crc32.ChecksumIEEE(body))
+
+	one := []broadcast.Entry{{Item: 1, Overflow: -1}}
+	tx := func(c model.Cycle) model.TxID { return model.TxID{Cycle: c} }
+	rows := []struct {
+		name  string
+		frame []byte
+	}{
+		{"overflow-pointer", encode(&broadcast.Bcast{Cycle: 2, Entries: []broadcast.Entry{{Item: 1, Overflow: 3}}})},
+		{"empty-segment", empty},
+		{"backward-sg-edge", encode(&broadcast.Bcast{Cycle: 3, Entries: one,
+			Delta: sg.Delta{Cycle: 3, Edges: []sg.Edge{{From: tx(2), To: tx(1)}}}})},
+	}
+	for _, r := range rows {
+		if _, err := DecodeBytes(r.frame); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: err = %v, want ErrBadFrame", r.name, err)
+		}
 	}
 }
