@@ -39,6 +39,7 @@
 package durlog
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -256,15 +257,15 @@ func (l *Log) readHeader(f *os.File, off, size int64, buf []byte) (kind byte, se
 	if _, err := f.ReadAt(buf, off); err != nil {
 		return 0, 0, 0, err
 	}
-	if be32(buf[0:4]) != recMagic {
-		return 0, 0, 0, fmt.Errorf("bad record magic %#x", be32(buf[0:4]))
+	if binary.BigEndian.Uint32(buf[0:4]) != recMagic {
+		return 0, 0, 0, fmt.Errorf("bad record magic %#x", binary.BigEndian.Uint32(buf[0:4]))
 	}
 	kind = buf[4]
 	if kind != kindCycle && kind != kindSnapshot {
 		return 0, 0, 0, fmt.Errorf("unknown record kind %d", kind)
 	}
-	seq = be64(buf[5:13])
-	payloadLen = be32(buf[13:17])
+	seq = binary.BigEndian.Uint64(buf[5:13])
+	payloadLen = binary.BigEndian.Uint32(buf[13:17])
 	if uint64(payloadLen) > maxPayload {
 		return 0, 0, 0, fmt.Errorf("payload length %d exceeds cap %d", payloadLen, int64(maxPayload))
 	}
@@ -287,7 +288,7 @@ func (l *Log) verifyRecord(f *os.File, off int64, kind byte, seq uint64, payload
 		return err
 	}
 	body := rec[4 : recHeaderLen+int(payloadLen)]
-	want := be32(rec[len(rec)-recTrailerLen:])
+	want := binary.BigEndian.Uint32(rec[len(rec)-recTrailerLen:])
 	if crc32.ChecksumIEEE(body) != want {
 		return fmt.Errorf("record CRC mismatch (kind %d, seq %d)", kind, seq)
 	}
@@ -472,12 +473,12 @@ func (l *Log) appendRecord(kind byte, seq uint64, payload []byte) (recRef, error
 		return recRef{}, fmt.Errorf("durlog: payload %d exceeds cap %d", len(payload), int64(maxPayload))
 	}
 	rec := make([]byte, recOverhead+len(payload))
-	put32(rec[0:4], recMagic)
+	binary.BigEndian.PutUint32(rec[0:4], recMagic)
 	rec[4] = kind
-	put64(rec[5:13], seq)
-	put32(rec[13:17], uint32(len(payload)))
+	binary.BigEndian.PutUint64(rec[5:13], seq)
+	binary.BigEndian.PutUint32(rec[13:17], uint32(len(payload)))
 	copy(rec[recHeaderLen:], payload)
-	put32(rec[len(rec)-recTrailerLen:], crc32.ChecksumIEEE(rec[4:recHeaderLen+len(payload)]))
+	binary.BigEndian.PutUint32(rec[len(rec)-recTrailerLen:], crc32.ChecksumIEEE(rec[4:recHeaderLen+len(payload)]))
 
 	if l.tailSize > 0 && l.tailSize+int64(len(rec)) > int64(l.segBytes) {
 		tail := l.segs[len(l.segs)-1]
@@ -504,17 +505,17 @@ func decodeRecord(rec []byte) (kind byte, seq uint64, payload []byte, err error)
 	if len(rec) < recOverhead {
 		return 0, 0, nil, fmt.Errorf("record too short (%d bytes)", len(rec))
 	}
-	if be32(rec[0:4]) != recMagic {
-		return 0, 0, nil, fmt.Errorf("bad record magic %#x", be32(rec[0:4]))
+	if binary.BigEndian.Uint32(rec[0:4]) != recMagic {
+		return 0, 0, nil, fmt.Errorf("bad record magic %#x", binary.BigEndian.Uint32(rec[0:4]))
 	}
 	kind = rec[4]
-	seq = be64(rec[5:13])
-	n := be32(rec[13:17])
+	seq = binary.BigEndian.Uint64(rec[5:13])
+	n := binary.BigEndian.Uint32(rec[13:17])
 	if int64(n) != int64(len(rec)-recOverhead) {
 		return 0, 0, nil, fmt.Errorf("payload length %d != framed %d", n, len(rec)-recOverhead)
 	}
 	body := rec[4 : recHeaderLen+int(n)]
-	if crc32.ChecksumIEEE(body) != be32(rec[len(rec)-recTrailerLen:]) {
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(rec[len(rec)-recTrailerLen:]) {
 		return 0, 0, nil, fmt.Errorf("record CRC mismatch")
 	}
 	return kind, seq, rec[recHeaderLen : recHeaderLen+int(n)], nil
@@ -568,24 +569,4 @@ func (l *Log) gauge() {
 	if l.metrics != nil {
 		l.metrics.Gauge("durlog.segments").Set(float64(len(l.segs)))
 	}
-}
-
-// be32, be64, put32, put64 are the record framing's big-endian helpers;
-// the layout matches the wire format's byte order so hex dumps of
-// segments and frames read the same way.
-func be32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func be64(b []byte) uint64 {
-	return uint64(be32(b[0:4]))<<32 | uint64(be32(b[4:8]))
-}
-
-func put32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-}
-
-func put64(b []byte, v uint64) {
-	put32(b[0:4], uint32(v>>32))
-	put32(b[4:8], uint32(v))
 }

@@ -1,6 +1,7 @@
 package durlog
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"bpush/internal/model"
@@ -47,26 +48,26 @@ func encodeSnapshot(s *Snapshot) ([]byte, error) {
 	}
 	buf := make([]byte, 0, n)
 	buf = append(buf, snapshotVersion)
-	buf = append64(buf, s.Seq)
-	buf = append64(buf, uint64(s.State.Cycle))
-	buf = append32(buf, uint32(len(s.State.Items)))
+	buf = binary.BigEndian.AppendUint64(buf, s.Seq)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(s.State.Cycle))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.State.Items)))
 	for _, it := range s.State.Items {
-		buf = append64(buf, uint64(it.WriteCount))
-		buf = append32(buf, uint32(len(it.Versions)))
+		buf = binary.BigEndian.AppendUint64(buf, uint64(it.WriteCount))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(it.Versions)))
 		for _, v := range it.Versions {
-			buf = append64(buf, uint64(v.Value))
-			buf = append64(buf, uint64(v.Cycle))
-			buf = append64(buf, uint64(v.Writer.Cycle))
-			buf = append32(buf, v.Writer.Seq)
+			buf = binary.BigEndian.AppendUint64(buf, uint64(v.Value))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(v.Cycle))
+			buf = binary.BigEndian.AppendUint64(buf, uint64(v.Writer.Cycle))
+			buf = binary.BigEndian.AppendUint32(buf, v.Writer.Seq)
 		}
 	}
-	buf = append32(buf, uint32(len(s.State.Readers)))
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.State.Readers)))
 	for _, re := range s.State.Readers {
-		buf = append32(buf, uint32(re.Item))
-		buf = append32(buf, uint32(len(re.Readers)))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(re.Item))
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(re.Readers)))
 		for _, r := range re.Readers {
-			buf = append64(buf, uint64(r.Cycle))
-			buf = append32(buf, r.Seq)
+			buf = binary.BigEndian.AppendUint64(buf, uint64(r.Cycle))
+			buf = binary.BigEndian.AppendUint32(buf, r.Seq)
 		}
 	}
 	return buf, nil
@@ -160,7 +161,7 @@ func (d *snapDecoder) u32() uint32 {
 	if !d.need(4) {
 		return 0
 	}
-	v := be32(d.p[d.off : d.off+4])
+	v := binary.BigEndian.Uint32(d.p[d.off : d.off+4])
 	d.off += 4
 	return v
 }
@@ -169,15 +170,7 @@ func (d *snapDecoder) u64() uint64 {
 	if !d.need(8) {
 		return 0
 	}
-	v := be64(d.p[d.off : d.off+8])
+	v := binary.BigEndian.Uint64(d.p[d.off : d.off+8])
 	d.off += 8
 	return v
-}
-
-func append32(b []byte, v uint32) []byte {
-	return append(b, byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func append64(b []byte, v uint64) []byte {
-	return append32(append32(b, uint32(v>>32)), uint32(v))
 }

@@ -197,6 +197,7 @@ func (p *memPipe) write(b []byte) (int, error) {
 func (p *memPipe) closeWrite() {
 	p.mu.Lock()
 	p.wclosed = true
+	p.stopTimers()
 	p.mu.Unlock()
 	p.cond.Broadcast()
 }
@@ -205,8 +206,24 @@ func (p *memPipe) closeRead() {
 	p.mu.Lock()
 	p.rclosed = true
 	p.n = 0
+	p.stopTimers()
 	p.mu.Unlock()
 	p.cond.Broadcast()
+}
+
+// stopTimers disarms both deadline timers. Once either side has closed,
+// no read or write can block, so deadlines are moot; a pending timer
+// would only keep the pipe's buffer reachable until it fired (the
+// setters arm no new timer on a closed pipe). Caller holds p.mu.
+func (p *memPipe) stopTimers() {
+	if p.rtimer != nil {
+		p.rtimer.Stop()
+		p.rtimer = nil
+	}
+	if p.wtimer != nil {
+		p.wtimer.Stop()
+		p.wtimer = nil
+	}
 }
 
 func (p *memPipe) setReadDeadline(t time.Time) {
@@ -218,7 +235,7 @@ func (p *memPipe) setReadDeadline(t time.Time) {
 		p.rtimer.Stop()
 		p.rtimer = nil
 	}
-	if t.IsZero() {
+	if t.IsZero() || p.wclosed || p.rclosed {
 		return
 	}
 	d := time.Until(t)
@@ -246,7 +263,7 @@ func (p *memPipe) setWriteDeadline(t time.Time) {
 		p.wtimer.Stop()
 		p.wtimer = nil
 	}
-	if t.IsZero() {
+	if t.IsZero() || p.wclosed || p.rclosed {
 		return
 	}
 	d := time.Until(t)

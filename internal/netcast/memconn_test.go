@@ -165,3 +165,28 @@ func TestMemConnCloseUnblocksReader(t *testing.T) {
 		t.Fatal("Close did not unblock the reader")
 	}
 }
+
+// TestMemConnCloseStopsDeadlineTimers: every frame write arms a
+// WriteTimeout deadline timer, and a pending timer keeps its pipe's
+// buffer reachable until it fires. Closing both ends must disarm every
+// timer, and a deadline set after close must not arm a new one.
+func TestMemConnCloseStopsDeadlineTimers(t *testing.T) {
+	a, b := newMemConnPair()
+	future := time.Now().Add(time.Hour)
+	for _, c := range []*memConn{a, b} {
+		if err := c.SetDeadline(future); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = a.Close()
+	_ = b.Close()
+	_ = a.SetDeadline(future)
+	for i, p := range []*memPipe{a.in, a.out} {
+		p.mu.Lock()
+		armed := p.rtimer != nil || p.wtimer != nil
+		p.mu.Unlock()
+		if armed {
+			t.Errorf("pipe %d: deadline timer still armed after close", i)
+		}
+	}
+}

@@ -51,84 +51,175 @@ var ErrBadFrame = errors.New("wire: bad frame")
 // and the smallest element size so corrupt lengths fail fast.
 const maxSegment = MaxFrameSize / 12
 
-// initialSegmentCap caps the capacity pre-allocated for a segment before
-// its elements have actually been read. A corrupt length field can claim
-// up to maxSegment elements; growing by append instead of trusting the
-// field keeps a damaged frame from forcing a huge allocation before the
-// decode fails.
-const initialSegmentCap = 4096
+// Encoded sizes of the frame's fixed parts and segment elements.
+const (
+	headerSize     = 4 + 1 + 8 + 4 + 4 // magic, version, cycle, numCommitted, totalItems
+	txSize         = 8 + 4
+	reportSize     = 4 + txSize
+	edgeSize       = 2 * txSize
+	oldVersionSize = 4 + 8 + 8 + txSize
+	entrySize      = oldVersionSize + 4
+)
 
-// segCap clamps a decoded length field to a safe pre-allocation size.
-func segCap(n int) int {
-	if n > initialSegmentCap {
-		return initialSegmentCap
-	}
-	return n
-}
+// readChunk caps how many elements Decode reads, and allocates room
+// for, before the next bytes have actually arrived. A corrupt length
+// field can claim up to maxSegment elements; reading in chunks keeps a
+// damaged frame from forcing a huge allocation before the decode fails.
+const readChunk = 4096
+
+var be = binary.BigEndian
 
 // Encode serializes a becast into a frame.
 func Encode(b *broadcast.Bcast) ([]byte, error) {
 	if b == nil || len(b.Entries) == 0 {
 		return nil, fmt.Errorf("%w: nil or empty becast", ErrBadFrame)
 	}
-	var buf bytes.Buffer
-	//lint:allow hotalloc two helper closures per frame encode: once per cycle on air, not per client
-	w := func(v any) {
-		// bytes.Buffer writes cannot fail.
-		_ = binary.Write(&buf, binary.BigEndian, v)
+	size := headerSize + 5*4 + 4 + // header, five segment lengths, checksum
+		len(b.Report)*reportSize +
+		len(b.Delta.Nodes)*txSize +
+		len(b.Delta.Edges)*edgeSize +
+		len(b.Entries)*entrySize +
+		len(b.Overflow)*oldVersionSize
+	if size > MaxFrameSize {
+		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrBadFrame, size)
 	}
-	//lint:allow hotalloc two helper closures per frame encode: once per cycle on air, not per client
-	writeTx := func(t model.TxID) {
-		w(uint64(t.Cycle))
-		w(t.Seq)
-	}
-	w(Magic)
-	w(Version)
-	w(uint64(b.Cycle))
-	w(uint32(b.NumCommitted))
-	w(uint32(b.TotalItems))
+	//lint:allow hotalloc one exact-size buffer per frame encode: once per cycle on air, and it becomes the sealed netcast.Frame
+	buf := make([]byte, 0, size)
+	buf = be.AppendUint32(buf, Magic)
+	buf = append(buf, Version)
+	buf = be.AppendUint64(buf, uint64(b.Cycle))
+	buf = be.AppendUint32(buf, uint32(b.NumCommitted))
+	buf = be.AppendUint32(buf, uint32(b.TotalItems))
 
-	w(uint32(len(b.Report)))
+	buf = be.AppendUint32(buf, uint32(len(b.Report)))
 	for _, e := range b.Report {
-		w(uint32(e.Item))
-		writeTx(e.FirstWriter)
+		buf = be.AppendUint32(buf, uint32(e.Item))
+		buf = appendTx(buf, e.FirstWriter)
 	}
-	w(uint32(len(b.Delta.Nodes)))
+	buf = be.AppendUint32(buf, uint32(len(b.Delta.Nodes)))
 	for _, n := range b.Delta.Nodes {
-		writeTx(n)
+		buf = appendTx(buf, n)
 	}
-	w(uint32(len(b.Delta.Edges)))
+	buf = be.AppendUint32(buf, uint32(len(b.Delta.Edges)))
 	for _, e := range b.Delta.Edges {
-		writeTx(e.From)
-		writeTx(e.To)
+		buf = appendTx(buf, e.From)
+		buf = appendTx(buf, e.To)
 	}
-	w(uint32(len(b.Entries)))
+	buf = be.AppendUint32(buf, uint32(len(b.Entries)))
 	for _, e := range b.Entries {
-		w(uint32(e.Item))
-		w(int64(e.Version.Value))
-		w(uint64(e.Version.Cycle))
-		writeTx(e.Version.Writer)
-		w(int32(e.Overflow))
+		buf = appendVersion(buf, e.Item, e.Version)
+		buf = be.AppendUint32(buf, uint32(int32(e.Overflow)))
 	}
-	w(uint32(len(b.Overflow)))
+	buf = be.AppendUint32(buf, uint32(len(b.Overflow)))
 	for _, ov := range b.Overflow {
-		w(uint32(ov.Item))
-		w(int64(ov.Version.Value))
-		w(uint64(ov.Version.Cycle))
-		writeTx(ov.Version.Writer)
+		buf = appendVersion(buf, ov.Item, ov.Version)
 	}
-	sum := crc32.ChecksumIEEE(buf.Bytes()[4:])
-	w(sum)
-	if buf.Len() > MaxFrameSize {
-		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrBadFrame, buf.Len())
+	return be.AppendUint32(buf, crc32.ChecksumIEEE(buf[4:])), nil
+}
+
+func appendTx(buf []byte, t model.TxID) []byte {
+	return be.AppendUint32(be.AppendUint64(buf, uint64(t.Cycle)), t.Seq)
+}
+
+// appendVersion writes { item u32, value i64, verCycle u64, writer TxID }.
+func appendVersion(buf []byte, item model.ItemID, v model.Version) []byte {
+	buf = be.AppendUint32(buf, uint32(item))
+	buf = be.AppendUint64(buf, uint64(v.Value))
+	buf = be.AppendUint64(buf, uint64(v.Cycle))
+	return appendTx(buf, v.Writer)
+}
+
+func parseTx(p []byte) model.TxID {
+	return model.TxID{Cycle: model.Cycle(be.Uint64(p)), Seq: be.Uint32(p[8:])}
+}
+
+// parseVersion is the inverse of appendVersion.
+func parseVersion(p []byte) (model.ItemID, model.Version) {
+	return model.ItemID(be.Uint32(p)), model.Version{
+		Value:  model.Value(int64(be.Uint64(p[4:]))),
+		Cycle:  model.Cycle(be.Uint64(p[12:])),
+		Writer: parseTx(p[20:]),
 	}
-	return buf.Bytes(), nil
+}
+
+func parseReport(p []byte) broadcast.InvalidationEntry {
+	return broadcast.InvalidationEntry{Item: model.ItemID(be.Uint32(p)), FirstWriter: parseTx(p[4:])}
+}
+
+func parseEdge(p []byte) sg.Edge {
+	return sg.Edge{From: parseTx(p), To: parseTx(p[txSize:])}
+}
+
+func parseEntry(p []byte) broadcast.Entry {
+	item, v := parseVersion(p)
+	return broadcast.Entry{Item: item, Version: v, Overflow: int(int32(be.Uint32(p[oldVersionSize:])))}
+}
+
+func parseOldVersion(p []byte) broadcast.OldVersion {
+	item, v := parseVersion(p)
+	return broadcast.OldVersion{Item: item, Version: v}
+}
+
+// decoder reads a frame's checksummed body through one reused scratch
+// buffer, folding every byte it reads into the running CRC.
+type decoder struct {
+	r   io.Reader
+	buf []byte
+	crc uint32
+}
+
+// read returns the next n bytes; the slice is valid until the next read.
+func (d *decoder) read(n int) ([]byte, error) {
+	if cap(d.buf) < n {
+		d.buf = make([]byte, n)
+	}
+	p := d.buf[:n]
+	if _, err := io.ReadFull(d.r, p); err != nil {
+		return nil, frameErr(err)
+	}
+	d.crc = crc32.Update(d.crc, crc32.IEEETable, p)
+	return p, nil
+}
+
+// readLen reads a u32 length field and bounds it by maxSegment.
+func (d *decoder) readLen() (int, error) {
+	p, err := d.read(4)
+	if err != nil {
+		return 0, err
+	}
+	n := be.Uint32(p)
+	if n > maxSegment {
+		return 0, fmt.Errorf("%w: segment length %d", ErrBadFrame, n)
+	}
+	return int(n), nil
+}
+
+// readSegment reads a length-prefixed segment of size-byte elements,
+// at most readChunk elements at a time, so the result grows only as its
+// bytes arrive.
+func readSegment[T any](d *decoder, size int, parse func([]byte) T) ([]T, error) {
+	n, err := d.readLen()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, 0, min(n, readChunk))
+	for n > 0 {
+		k := min(n, readChunk)
+		p, err := d.read(k * size)
+		if err != nil {
+			return nil, err
+		}
+		for ; len(p) > 0; p = p[size:] {
+			out = append(out, parse(p))
+		}
+		n -= k
+	}
+	return out, nil
 }
 
 // Decode reads one frame from r and reconstructs the becast. Decode never
 // reads past the end of the frame, so frames can be decoded back to back
-// from one stream; pass a *bufio.Reader for performance (Decode issues
-// many small reads).
+// from one stream; pass a *bufio.Reader when r is unbuffered.
 //
 // The control-info index (broadcast.CycleIndex) is derived state and is
 // not encoded: broadcast.New rebuilds it from the checksum-verified
@@ -136,190 +227,65 @@ func Encode(b *broadcast.Bcast) ([]byte, error) {
 // exactly as the producer's did. Every rejection, checksum or structural,
 // is an ErrBadFrame.
 func Decode(r io.Reader) (*broadcast.Bcast, error) {
-	br := r
-	var magic uint32
-	if err := binary.Read(br, binary.BigEndian, &magic); err != nil {
+	var magic [4]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
 		return nil, err // includes io.EOF for clean stream end
 	}
-	if magic != Magic {
-		return nil, fmt.Errorf("%w: magic %#x", ErrBadFrame, magic)
+	if m := be.Uint32(magic[:]); m != Magic {
+		return nil, fmt.Errorf("%w: magic %#x", ErrBadFrame, m)
 	}
 
-	// Everything after the magic is checksummed; tee it.
-	sum := crc32.NewIEEE()
-	tr := io.TeeReader(br, sum)
-	rd := func(v any) error { return binary.Read(tr, binary.BigEndian, v) }
-	readTx := func() (model.TxID, error) {
-		var c uint64
-		var s uint32
-		if err := rd(&c); err != nil {
-			return model.TxID{}, err
-		}
-		if err := rd(&s); err != nil {
-			return model.TxID{}, err
-		}
-		return model.TxID{Cycle: model.Cycle(c), Seq: s}, nil
+	// Everything after the magic is checksummed.
+	d := &decoder{r: r, buf: make([]byte, headerSize)}
+	p, err := d.read(1)
+	if err != nil {
+		return nil, err
 	}
-	readLen := func() (int, error) {
-		var n uint32
-		if err := rd(&n); err != nil {
-			return 0, err
-		}
-		if n > maxSegment {
-			return 0, fmt.Errorf("%w: segment length %d", ErrBadFrame, n)
-		}
-		return int(n), nil
+	if p[0] != Version {
+		return nil, fmt.Errorf("%w: version %d", ErrBadFrame, p[0])
 	}
-
-	var version uint8
-	if err := rd(&version); err != nil {
-		return nil, frameErr(err)
+	if p, err = d.read(headerSize - 5); err != nil {
+		return nil, err
 	}
-	if version != Version {
-		return nil, fmt.Errorf("%w: version %d", ErrBadFrame, version)
-	}
-	var cycle uint64
-	var committed, totalItems uint32
-	if err := rd(&cycle); err != nil {
-		return nil, frameErr(err)
-	}
-	if err := rd(&committed); err != nil {
-		return nil, frameErr(err)
-	}
-	if err := rd(&totalItems); err != nil {
-		return nil, frameErr(err)
-	}
+	cycle := model.Cycle(be.Uint64(p))
+	committed := be.Uint32(p[8:])
+	totalItems := be.Uint32(p[12:])
 	if totalItems > maxSegment {
 		return nil, fmt.Errorf("%w: totalItems %d", ErrBadFrame, totalItems)
 	}
 
-	n, err := readLen()
+	report, err := readSegment(d, reportSize, parseReport)
 	if err != nil {
-		return nil, frameErr(err)
+		return nil, err
 	}
-	report := make([]broadcast.InvalidationEntry, 0, segCap(n))
-	for i := 0; i < n; i++ {
-		var item uint32
-		if err := rd(&item); err != nil {
-			return nil, frameErr(err)
-		}
-		tx, err := readTx()
-		if err != nil {
-			return nil, frameErr(err)
-		}
-		report = append(report, broadcast.InvalidationEntry{Item: model.ItemID(item), FirstWriter: tx})
+	delta := sg.Delta{Cycle: cycle}
+	if delta.Nodes, err = readSegment(d, txSize, parseTx); err != nil {
+		return nil, err
+	}
+	if delta.Edges, err = readSegment(d, edgeSize, parseEdge); err != nil {
+		return nil, err
+	}
+	entries, err := readSegment(d, entrySize, parseEntry)
+	if err != nil {
+		return nil, err
+	}
+	overflow, err := readSegment(d, oldVersionSize, parseOldVersion)
+	if err != nil {
+		return nil, err
 	}
 
-	n, err = readLen()
-	if err != nil {
-		return nil, frameErr(err)
+	want := d.crc
+	if p, err = d.read(4); err != nil {
+		return nil, err
 	}
-	delta := sg.Delta{Cycle: model.Cycle(cycle), Nodes: make([]model.TxID, 0, segCap(n))}
-	for i := 0; i < n; i++ {
-		tx, err := readTx()
-		if err != nil {
-			return nil, frameErr(err)
-		}
-		delta.Nodes = append(delta.Nodes, tx)
-	}
-	n, err = readLen()
-	if err != nil {
-		return nil, frameErr(err)
-	}
-	delta.Edges = make([]sg.Edge, 0, segCap(n))
-	for i := 0; i < n; i++ {
-		from, err := readTx()
-		if err != nil {
-			return nil, frameErr(err)
-		}
-		to, err := readTx()
-		if err != nil {
-			return nil, frameErr(err)
-		}
-		delta.Edges = append(delta.Edges, sg.Edge{From: from, To: to})
-	}
-
-	n, err = readLen()
-	if err != nil {
-		return nil, frameErr(err)
-	}
-	entries := make([]broadcast.Entry, 0, segCap(n))
-	for i := 0; i < n; i++ {
-		var item uint32
-		var value int64
-		var verCycle uint64
-		var overflow int32
-		if err := rd(&item); err != nil {
-			return nil, frameErr(err)
-		}
-		if err := rd(&value); err != nil {
-			return nil, frameErr(err)
-		}
-		if err := rd(&verCycle); err != nil {
-			return nil, frameErr(err)
-		}
-		writer, err := readTx()
-		if err != nil {
-			return nil, frameErr(err)
-		}
-		if err := rd(&overflow); err != nil {
-			return nil, frameErr(err)
-		}
-		if overflow < -1 {
-			return nil, fmt.Errorf("%w: entry %d overflow pointer %d", ErrBadFrame, i, overflow)
-		}
-		entries = append(entries, broadcast.Entry{
-			Item: model.ItemID(item),
-			Version: model.Version{
-				Value: model.Value(value), Cycle: model.Cycle(verCycle), Writer: writer,
-			},
-			Overflow: int(overflow),
-		})
-	}
-
-	n, err = readLen()
-	if err != nil {
-		return nil, frameErr(err)
-	}
-	overflow := make([]broadcast.OldVersion, 0, segCap(n))
-	for i := 0; i < n; i++ {
-		var item uint32
-		var value int64
-		var verCycle uint64
-		if err := rd(&item); err != nil {
-			return nil, frameErr(err)
-		}
-		if err := rd(&value); err != nil {
-			return nil, frameErr(err)
-		}
-		if err := rd(&verCycle); err != nil {
-			return nil, frameErr(err)
-		}
-		writer, err := readTx()
-		if err != nil {
-			return nil, frameErr(err)
-		}
-		overflow = append(overflow, broadcast.OldVersion{
-			Item: model.ItemID(item),
-			Version: model.Version{
-				Value: model.Value(value), Cycle: model.Cycle(verCycle), Writer: writer,
-			},
-		})
-	}
-
-	want := sum.Sum32()
-	var got uint32
-	if err := binary.Read(br, binary.BigEndian, &got); err != nil {
-		return nil, frameErr(err)
-	}
-	if got != want {
+	if got := be.Uint32(p); got != want {
 		return nil, fmt.Errorf("%w: checksum mismatch %#x != %#x", ErrBadFrame, got, want)
 	}
 	// A checksum-valid frame can still be structurally unusable (an
 	// overflow pointer out of range, an empty data segment, an SG delta
 	// that breaks commit order); those are bad frames too, so a tuner
 	// counts and resyncs past them instead of failing.
-	b, err := broadcast.New(model.Cycle(cycle), report, delta, entries, overflow, int(committed), int(totalItems))
+	b, err := broadcast.New(cycle, report, delta, entries, overflow, int(committed), int(totalItems))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadFrame, err)
 	}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"bpush/internal/broadcast"
@@ -167,6 +168,26 @@ func TestDecodeRejectsHugeSegment(t *testing.T) {
 	if _, err := Decode(&buf); !errors.Is(err, ErrBadFrame) {
 		t.Errorf("err = %v, want ErrBadFrame for huge segment", err)
 	}
+
+	// A length that passes the maxSegment bound but is followed by EOF
+	// must fail having allocated only what was actually read, whichever
+	// segment claims it.
+	for seg := 0; seg < 5; seg++ {
+		hdr := binary.BigEndian.AppendUint32(nil, Magic)
+		hdr = append(hdr, Version)
+		hdr = append(hdr, make([]byte, 16+4*seg)...)
+		hdr = binary.BigEndian.AppendUint32(hdr, maxSegment)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeBytes(hdr)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Errorf("segment %d: err = %v, want io.ErrUnexpectedEOF", seg, err)
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("segment %d: truncated %d-element claim allocated %d bytes, want < 1 MiB", seg, maxSegment, d)
+		}
+	}
 }
 
 func TestEncodeRejectsEmpty(t *testing.T) {
@@ -208,15 +229,22 @@ func TestBroadcastNewValidation(t *testing.T) {
 	}
 }
 
-func BenchmarkEncode(b *testing.B) {
+// benchBcast is the benchmarks' frame: a first-cycle becast of 1000 items.
+func benchBcast(tb testing.TB) *broadcast.Bcast {
+	tb.Helper()
 	srv, err := server.New(server.Config{DBSize: 1000, MaxVersions: 3})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	bc, err := broadcast.Assemble(srv, nil, broadcast.FlatProgram(1000))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return bc
+}
+
+func BenchmarkEncode(b *testing.B) {
+	bc := benchBcast(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -227,15 +255,7 @@ func BenchmarkEncode(b *testing.B) {
 }
 
 func BenchmarkDecode(b *testing.B) {
-	srv, err := server.New(server.Config{DBSize: 1000, MaxVersions: 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	bc, err := broadcast.Assemble(srv, nil, broadcast.FlatProgram(1000))
-	if err != nil {
-		b.Fatal(err)
-	}
-	frame, err := Encode(bc)
+	frame, err := Encode(benchBcast(b))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -245,6 +265,36 @@ func BenchmarkDecode(b *testing.B) {
 		if _, err := Decode(bytes.NewReader(frame)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCodecAllocations pins the codec's allocation profile: Encode
+// writes into one exact-size buffer, and Decode allocates only what
+// broadcast.New needs on the same segments plus a small constant.
+func TestCodecAllocations(t *testing.T) {
+	bc := benchBcast(t)
+	frame, err := Encode(bc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = Encode(bc) }); n != 1 {
+		t.Errorf("Encode: %v allocs, want 1", n)
+	}
+	build := testing.AllocsPerRun(20, func() {
+		if _, err := broadcast.New(bc.Cycle, bc.Report, bc.Delta, bc.Entries, bc.Overflow, bc.NumCommitted, bc.TotalItems); err != nil {
+			t.Fatal(err)
+		}
+	})
+	decode := testing.AllocsPerRun(20, func() {
+		if _, err := DecodeBytes(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// This frame has one non-empty segment, so Decode adds its slice,
+	// the header-sized read buffer and its one growth, the decoder and
+	// the bytes.Reader.
+	if slack := 5.0; decode > build+slack {
+		t.Errorf("Decode: %v allocs, want at most broadcast.New's %v + %v", decode, build, slack)
 	}
 }
 
