@@ -28,8 +28,8 @@ func TestSimulateThroughFacade(t *testing.T) {
 	if m.Queries != 60 {
 		t.Errorf("Queries = %d, want 60", m.Queries)
 	}
-	if m.SchemeName != "sgt+cache" {
-		t.Errorf("SchemeName = %q", m.SchemeName)
+	if m.Method != "sgt+cache" {
+		t.Errorf("Method = %q", m.Method)
 	}
 }
 

@@ -17,9 +17,8 @@ import (
 	"bpush/internal/client"
 	"bpush/internal/core"
 	"bpush/internal/netcast"
-	"bpush/internal/zipf"
-
-	"bpush/internal/model"
+	"bpush/internal/obs"
+	"bpush/internal/workload"
 )
 
 func main() {
@@ -44,11 +43,15 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	kind, err := parseScheme(*schemeName)
+	kind, err := core.ParseKind(*schemeName)
 	if err != nil {
 		return err
 	}
-	scheme, err := core.New(core.Options{Kind: kind, CacheSize: *cacheSize})
+	// The client's own events are folded by the same aggregator the
+	// simulator's metrics come from, so the summary line reports the
+	// paper's metrics exactly as a simulated run would.
+	agg := obs.NewAggregator()
+	scheme, err := core.New(core.Options{Kind: kind, CacheSize: *cacheSize, Recorder: agg})
 	if err != nil {
 		return err
 	}
@@ -58,62 +61,34 @@ func run(args []string, out io.Writer) error {
 	}
 	defer tuner.Close()
 
-	cl, err := client.New(scheme, tuner, client.Config{ThinkTime: *think})
+	cl, err := client.New(scheme, tuner, client.Config{ThinkTime: *think, Recorder: agg})
 	if err != nil {
 		return err
 	}
 	// The first becast (already consumed by client.New) tells the client
 	// how many items are on air; the query workload covers all of them.
-	return runQueries(out, cl, *queries, *ops, *theta, *seed)
-}
-
-func runQueries(out io.Writer, cl *client.Client, queries, ops int, theta float64, seed int64) error {
-	dist, err := zipf.New(zipf.Config{N: cl.Items(), Theta: theta})
+	qgen, err := workload.NewQueryGen(workload.ClientConfig{
+		ReadRange:   cl.Items(),
+		Theta:       *theta,
+		OpsPerQuery: *ops,
+	}, rand.New(rand.NewSource(*seed)))
 	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	committed := 0
-	for q := 0; q < queries; q++ {
-		items := make([]model.ItemID, 0, ops)
-		seen := make(map[model.ItemID]struct{}, ops)
-		for len(items) < ops {
-			it := model.ItemID(dist.Sample(rng))
-			if _, dup := seen[it]; dup {
-				continue
-			}
-			seen[it] = struct{}{}
-			items = append(items, it)
-		}
-		res, err := cl.RunQuery(items)
+	for q := 0; q < *queries; q++ {
+		res, err := cl.RunQuery(qgen.Query())
 		if err != nil {
 			return err
 		}
 		if res.Committed {
-			committed++
 			fmt.Fprintf(out, "query %2d COMMIT  cycle=%d reads=%d cache=%d latency=%dc\n",
 				q, res.Info.CommitCycle, res.Reads, res.CacheReads, res.LatencyCycles)
 		} else {
 			fmt.Fprintf(out, "query %2d ABORT   %s\n", q, res.AbortReason)
 		}
 	}
-	fmt.Fprintf(out, "done: %d/%d committed (%s)\n", committed, queries, cl.Scheme().Name())
+	sum := agg.Summary()
+	fmt.Fprintf(out, "done: %d/%d committed (%s) abort-rate=%.4f latency=%.3fc span=%.3fc\n",
+		sum.Committed, sum.Queries, sum.Method, sum.AbortRate, sum.MeanLatency, sum.MeanSpan)
 	return nil
-}
-
-func parseScheme(s string) (core.Kind, error) {
-	switch s {
-	case "inv-only":
-		return core.KindInvOnly, nil
-	case "vcache":
-		return core.KindVCache, nil
-	case "multiversion", "mv":
-		return core.KindMVBroadcast, nil
-	case "mv-cache", "mc":
-		return core.KindMVCache, nil
-	case "sgt":
-		return core.KindSGT, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q", s)
-	}
 }

@@ -15,9 +15,9 @@ import (
 // runTrace implements the "trace" subcommand: it reads a JSONL event
 // stream (as written by the obs.JSONL sink) and renders the per-method
 // summaries, the abort breakdown and timeline, and the span/latency
-// histograms. Everything is recomputed from the events alone — the trace
-// is the complete record of a run, which the sim package's
-// aggregator-equivalence test guarantees.
+// histograms. Everything is recomputed from the events alone through
+// obs.Aggregator, the same fold that computes sim.Metrics, so a trace's
+// summary equals the run's Metrics over the same queries.
 func runTrace(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("bpush-inspect trace", flag.ContinueOnError)
 	var (

@@ -69,7 +69,7 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	kind, err := parseScheme(*schemeName)
+	kind, err := core.ParseKind(*schemeName)
 	if err != nil {
 		return err
 	}
@@ -142,7 +142,7 @@ func run(args []string, out io.Writer) error {
 			checked += m.OracleChecked
 			skipped += m.OracleSkipped
 		}
-		fmt.Fprintf(out, "scheme            %s\n", fm.PerClient[0].SchemeName)
+		fmt.Fprintf(out, "scheme            %s\n", fm.PerClient[0].Method)
 		fmt.Fprintf(out, "clients           %d\n", fm.Clients)
 		fmt.Fprintf(out, "queries           %d (%d committed, %d aborted)\n", nq, committed, aborted)
 		fmt.Fprintf(out, "mean abort rate   %.4f (std %.4f)\n", fm.MeanAbortRate, fm.StdAbortRate)
@@ -158,7 +158,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "scheme            %s\n", m.SchemeName)
+	fmt.Fprintf(out, "scheme            %s\n", m.Method)
 	fmt.Fprintf(out, "queries           %d (%d committed, %d aborted)\n", m.Queries, m.Committed, m.Aborted)
 	fmt.Fprintf(out, "abort rate        %.4f\n", m.AbortRate)
 	fmt.Fprintf(out, "accept rate       %.4f\n", m.AcceptRate)
@@ -228,21 +228,4 @@ func faultNames() string {
 		out += n
 	}
 	return out
-}
-
-func parseScheme(s string) (core.Kind, error) {
-	switch s {
-	case "inv-only":
-		return core.KindInvOnly, nil
-	case "vcache":
-		return core.KindVCache, nil
-	case "multiversion", "mv":
-		return core.KindMVBroadcast, nil
-	case "mv-cache", "mc":
-		return core.KindMVCache, nil
-	case "sgt":
-		return core.KindSGT, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q", s)
-	}
 }

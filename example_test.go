@@ -26,7 +26,7 @@ func ExampleSimulate() {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println("scheme:", m.SchemeName)
+	fmt.Println("scheme:", m.Method)
 	fmt.Println("some queries committed:", m.Committed > 0)
 	fmt.Println("accounting consistent:", m.Committed+m.Aborted == m.Queries)
 	// Output:

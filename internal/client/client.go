@@ -22,12 +22,12 @@ import (
 // simulator implements it by driving the server; the network client
 // implements it by decoding frames from a TCP stream.
 //
-// The client runtime is a pure pass-through for the shared per-cycle
+// The client runtime is a pure pass-through for the per-cycle
 // control-info index (broadcast.CycleIndex): becasts flow from the feed
-// to the scheme untouched, so a becast primed by the producer reaches the
-// scheme still carrying its index, and a becast decoded from a network
-// frame (which never carries one) makes the scheme rebuild the same
-// structures locally. Either way the runtime's behavior is identical.
+// to the scheme untouched. Every becast arrives indexed — the producer
+// primes the ones it assembles, and broadcast.New primes the ones decoded
+// from a frame or a durable log — so the scheme reads one index whatever
+// the feed.
 type Feed interface {
 	// Next blocks until the next becast and returns it.
 	Next() (*broadcast.Bcast, error)

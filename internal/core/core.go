@@ -245,6 +245,25 @@ func (k Kind) String() string {
 	}
 }
 
+// ParseKind maps a command-line scheme name to its kind: inv-only,
+// vcache, multiversion (or mv), mv-cache (or mc), sgt.
+func ParseKind(s string) (Kind, error) {
+	switch s {
+	case "inv-only":
+		return KindInvOnly, nil
+	case "vcache":
+		return KindVCache, nil
+	case "multiversion", "mv":
+		return KindMVBroadcast, nil
+	case "mv-cache", "mc":
+		return KindMVCache, nil
+	case "sgt":
+		return KindSGT, nil
+	default:
+		return 0, fmt.Errorf("unknown scheme %q", s)
+	}
+}
+
 // Options configures a scheme.
 type Options struct {
 	// Kind selects the method.

@@ -146,21 +146,32 @@ func TestTeeComposition(t *testing.T) {
 	}
 }
 
+// aggregatorStream is a client stream touching every event type the
+// Aggregator folds.
+func aggregatorStream() []Event {
+	return []Event{
+		{Type: TypeRunBegin, Method: "multiversion"},
+		ev(TypeCycleBegin, 1, 0),
+		ev(TypeCycleBegin, 2, 0),
+		ev(TypeCycleMissed, 3, 0),
+		{Type: TypeRead, T: Time{Cycle: 1}, Source: SourceAir},
+		{Type: TypeRead, T: Time{Cycle: 1}, Source: SourceCache},
+		{Type: TypeRead, T: Time{Cycle: 2}, Source: SourceVersion},
+		{Type: TypeRead, T: Time{Cycle: 2}, Source: SourceCache},
+		{Type: TypeInvHit, T: Time{Cycle: 2}, Item: 5, Reason: "fatal"},
+		{Type: TypeRestart, T: Time{Cycle: 2}},
+		{Type: TypeStaleness, T: Time{Cycle: 2}, Cycles: 1},
+		{Type: TypeCommit, T: Time{Cycle: 2}, Span: 2, Cycles: 2, Slots: 2000, Ser: 1},
+		{Type: TypeCommit, T: Time{Cycle: 5}, Span: 1, Cycles: 4, Slots: 4000, Ser: 5},
+		{Type: TypeAbort, T: Time{Cycle: 6}, Reason: "x", Span: 1, Cycles: 1, Slots: 900},
+	}
+}
+
 func TestAggregatorSummary(t *testing.T) {
 	a := NewAggregator()
-	a.Record(Event{Type: TypeRunBegin, Method: "multiversion"})
-	a.Record(ev(TypeCycleBegin, 1, 0))
-	a.Record(ev(TypeCycleBegin, 2, 0))
-	a.Record(ev(TypeCycleMissed, 3, 0))
-	a.Record(Event{Type: TypeRead, T: Time{Cycle: 1}, Source: SourceAir})
-	a.Record(Event{Type: TypeRead, T: Time{Cycle: 1}, Source: SourceCache})
-	a.Record(Event{Type: TypeRead, T: Time{Cycle: 2}, Source: SourceVersion})
-	a.Record(Event{Type: TypeRead, T: Time{Cycle: 2}, Source: SourceCache})
-	a.Record(Event{Type: TypeInvHit, T: Time{Cycle: 2}, Item: 5, Reason: "fatal"})
-	a.Record(Event{Type: TypeRestart, T: Time{Cycle: 2}})
-	a.Record(Event{Type: TypeCommit, T: Time{Cycle: 2}, Span: 2, Cycles: 2, Slots: 2000, Ser: 1})
-	a.Record(Event{Type: TypeCommit, T: Time{Cycle: 5}, Span: 1, Cycles: 4, Slots: 4000, Ser: 5})
-	a.Record(Event{Type: TypeAbort, T: Time{Cycle: 6}, Reason: "x", Span: 1, Cycles: 1, Slots: 900})
+	for _, e := range aggregatorStream() {
+		a.Record(e)
+	}
 
 	s := a.Summary()
 	if s.Method != "multiversion" {
@@ -179,6 +190,9 @@ func TestAggregatorSummary(t *testing.T) {
 	if s.MeanStaleness != 0.5 {
 		t.Fatalf("staleness = %g", s.MeanStaleness)
 	}
+	if s.MeanReadAge != 1 {
+		t.Fatalf("read age = %g", s.MeanReadAge)
+	}
 	if s.Reads != 4 || s.CacheReads != 2 || s.AirReads != 1 || s.VersionReads != 1 {
 		t.Fatalf("reads = %d/%d/%d/%d", s.Reads, s.CacheReads, s.AirReads, s.VersionReads)
 	}
@@ -187,6 +201,26 @@ func TestAggregatorSummary(t *testing.T) {
 	}
 	if s.InvalidationHits != 1 || s.Restarts != 1 || s.CyclesHeard != 2 || s.CyclesMissed != 1 {
 		t.Fatalf("hits/restarts/cycles = %d/%d/%d/%d", s.InvalidationHits, s.Restarts, s.CyclesHeard, s.CyclesMissed)
+	}
+}
+
+// TestAggregatorReset pins what a warm-up boundary relies on: Reset
+// keeps the method and clears every counter, rate and mean, so only
+// events recorded afterwards count.
+func TestAggregatorReset(t *testing.T) {
+	a := NewAggregator()
+	for _, e := range aggregatorStream() {
+		a.Record(e)
+	}
+	a.Reset()
+	if got, want := a.Summary(), (Summary{Method: "multiversion"}); got != want {
+		t.Fatalf("after Reset: %+v, want %+v", got, want)
+	}
+	a.Record(Event{Type: TypeCommit, T: Time{Cycle: 9}, Span: 3, Cycles: 3, Slots: 30, Ser: 8})
+	got := a.Summary()
+	if got.Queries != 1 || got.Committed != 1 || got.AcceptRate != 1 ||
+		got.MeanLatency != 3 || got.MeanLatencySlots != 30 || got.MeanSpan != 3 || got.MeanStaleness != 1 {
+		t.Fatalf("after Reset and one commit: %+v", got)
 	}
 }
 

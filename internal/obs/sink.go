@@ -141,12 +141,13 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 }
 
 // Summary is what an Aggregator folds a client event stream down to: the
-// same per-client quantities sim.Metrics reports, recomputed purely from
-// the trace. The sim package pins the equivalence with a test, which is
-// what makes traces trustworthy as an analysis substrate — the numbers in
-// the paper's tables are recoverable from the event stream alone.
+// paper's per-client metrics (§5), computed from the trace alone. It is
+// the only place they are computed — sim.Metrics embeds the Summary of
+// the run's own aggregator, and a live client folds its events through
+// the same code — so the numbers in the paper's tables are, by
+// construction, the ones recoverable from the event stream.
 type Summary struct {
-	Method string
+	Method string // scheme name (the run-begin event's method)
 
 	Queries   int
 	Committed int
@@ -155,19 +156,33 @@ type Summary struct {
 	AbortRate  float64
 	AcceptRate float64
 
-	MeanLatency      float64 // cycles, committed queries only
-	MeanLatencySlots float64 // slots, committed queries only
+	// MeanLatency and MeanSpan are in broadcast cycles, over committed
+	// queries only (matching the paper's latency metric).
+	// MeanLatencySlots is the same latency in broadcast slots, the
+	// right unit when comparing organizations with different cycle
+	// lengths (broadcast disks, multiversion overflow).
+	MeanLatency      float64
+	MeanLatencySlots float64
 	MeanSpan         float64
-	MeanStaleness    float64 // commit cycle - serialization cycle
-	MeanReadAge      float64 // per committed read: commit cycle - version cycle
+	// MeanStaleness is the mean distance, in cycles, between a committed
+	// query's commit cycle and the database state it serialized against
+	// — the currency metric of §5.2.2 (0 = the most current view).
+	// SGT commits have no named state and are excluded.
+	MeanStaleness float64
+	// MeanReadAge is the mean version age, in cycles, over every read of
+	// every committed query: commit cycle minus the version cycle the
+	// read observed. Unlike MeanStaleness it is defined for all schemes
+	// (SGT included) and weights each read, not each query — the per-read
+	// currency the staleness trace events histogram.
+	MeanReadAge float64
 
 	Reads        int
 	CacheReads   int
 	AirReads     int
 	VersionReads int
 
-	CacheHitRate     float64
-	OverflowReadRate float64
+	CacheHitRate     float64 // fraction of reads served from cache
+	OverflowReadRate float64 // fraction of reads served from overflow
 
 	InvalidationHits int
 	Restarts         int
@@ -186,6 +201,13 @@ type Aggregator struct {
 
 // NewAggregator creates an empty aggregating sink.
 func NewAggregator() *Aggregator { return &Aggregator{} }
+
+// Reset clears everything folded so far except Method, so a caller can
+// exclude a warm-up phase: events recorded after Reset are all the
+// Summary counts.
+func (a *Aggregator) Reset() {
+	*a = Aggregator{s: Summary{Method: a.s.Method}}
+}
 
 // Record implements Recorder.
 func (a *Aggregator) Record(e Event) {

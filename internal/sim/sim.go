@@ -192,40 +192,15 @@ func (c Config) validate() error {
 	return nil
 }
 
-// Metrics summarizes one run.
+// Metrics summarizes one run: the paper's per-client metrics, folded
+// from the client's own event stream by an obs.Aggregator over the
+// measured queries, plus what the query stream does not carry — the
+// feed's cycle counts and lengths, the oracle's tally, and the client
+// runtime's run-wide loss counters.
 type Metrics struct {
-	SchemeName string
+	obs.Summary
 
-	Queries   int
-	Committed int
-	Aborted   int
-
-	AbortRate  float64
-	AcceptRate float64
-
-	// MeanLatency and MeanSpan are in broadcast cycles, over committed
-	// queries only (matching the paper's latency metric).
-	MeanLatency float64
-	MeanSpan    float64
-	// MeanLatencySlots is the same latency in broadcast slots, the
-	// right unit when comparing organizations with different cycle
-	// lengths (broadcast disks, multiversion overflow).
-	MeanLatencySlots float64
-	// MeanStaleness is the mean distance, in cycles, between a committed
-	// query's commit cycle and the database state it serialized against
-	// — the currency metric of §5.2.2 (0 = the most current view).
-	// SGT commits have no named state and are excluded.
-	MeanStaleness float64
-	// MeanReadAge is the mean version age, in cycles, over every read of
-	// every committed query: commit cycle minus the version cycle the
-	// read observed. Unlike MeanStaleness it is defined for all schemes
-	// (SGT included) and weights each read, not each query — the per-read
-	// currency the staleness trace events histogram.
-	MeanReadAge float64
-
-	CacheHitRate     float64 // fraction of reads served from cache
-	OverflowReadRate float64 // fraction of reads served from overflow
-	MeanBcastSlots   float64 // mean becast length (data + overflow slots)
+	MeanBcastSlots float64 // mean becast length (data + overflow slots)
 
 	Cycles        uint64 // broadcast cycles this client consumed
 	OracleChecked int
@@ -234,7 +209,8 @@ type Metrics struct {
 	// MissedCycles counts cycles the client lost to disconnections or
 	// injected faults (dropped, corrupted, or truncated frames and
 	// undeclared gaps); StaleFrames counts duplicated or reordered frames
-	// the receive path discarded.
+	// the receive path discarded. Both cover the whole run, warm-up
+	// included; Summary.CyclesMissed counts the measured queries only.
 	MissedCycles int
 	StaleFrames  int
 }
@@ -314,6 +290,10 @@ func runClient(cfg Config, src *cyclesource.Source) (*Metrics, error) {
 	if rec == nil && cfg.RecorderFor != nil {
 		rec = cfg.RecorderFor(0)
 	}
+	// The aggregator sees exactly the events the caller's recorder does,
+	// so Metrics and a folded trace agree by construction.
+	agg := obs.NewAggregator()
+	rec = obs.Tee(rec, agg)
 	sopts := cfg.Scheme
 	sopts.Recorder = rec
 	scheme, err := core.New(sopts)
@@ -350,12 +330,12 @@ func runClient(cfg Config, src *cyclesource.Source) (*Metrics, error) {
 		return nil, err
 	}
 
-	m := &Metrics{SchemeName: scheme.Name()}
-	var latency, latencySlots, span, bcastLen, staleness, readAge stats.Accumulator
-	var reads, cacheReads, overflowReads int
-
+	m := &Metrics{}
 	total := cfg.Warmup + cfg.Queries
 	for q := 0; q < total; q++ {
+		if q == cfg.Warmup {
+			agg.Reset()
+		}
 		res, err := cl.RunQuery(qgen.Query())
 		if err != nil {
 			return nil, fmt.Errorf("query %d: %w", q, err)
@@ -371,41 +351,11 @@ func runClient(cfg Config, src *cyclesource.Source) (*Metrics, error) {
 				m.OracleChecked++
 			}
 		}
-		if q < cfg.Warmup {
-			continue
-		}
-		m.Queries++
-		if res.Committed {
-			m.Committed++
-			latency.Add(float64(res.LatencyCycles))
-			latencySlots.Add(float64(res.LatencySlots))
-			span.Add(float64(res.Span))
-			if res.Info.SerializationCycle != 0 {
-				staleness.Add(float64(res.Info.CommitCycle - res.Info.SerializationCycle))
-			}
-			for _, ro := range res.Info.Reads {
-				readAge.Add(float64(res.Info.CommitCycle - ro.Version))
-			}
-		} else {
-			m.Aborted++
-		}
-		reads += res.Reads
-		cacheReads += res.CacheReads
-		overflowReads += res.OverflowReads
 	}
 
-	m.AbortRate = float64(m.Aborted) / float64(m.Queries)
-	m.AcceptRate = float64(m.Committed) / float64(m.Queries)
-	m.MeanLatency = latency.Mean()
-	m.MeanLatencySlots = latencySlots.Mean()
-	m.MeanSpan = span.Mean()
-	m.MeanStaleness = staleness.Mean()
-	m.MeanReadAge = readAge.Mean()
-	if reads > 0 {
-		m.CacheHitRate = float64(cacheReads) / float64(reads)
-		m.OverflowReadRate = float64(overflowReads) / float64(reads)
-	}
+	m.Summary = agg.Summary()
 	m.Cycles = feed.Cycles()
+	var bcastLen stats.Accumulator
 	for _, l := range feed.Lens() {
 		bcastLen.Add(float64(l))
 	}

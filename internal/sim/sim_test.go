@@ -298,7 +298,7 @@ func TestSchemeNameSurfaced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(m.SchemeName, "sgt") {
-		t.Errorf("SchemeName = %q, want sgt variant", m.SchemeName)
+	if !strings.Contains(m.Method, "sgt") {
+		t.Errorf("Method = %q, want sgt variant", m.Method)
 	}
 }

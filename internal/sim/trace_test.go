@@ -128,26 +128,19 @@ func TestFleetTraceParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// approxEqual compares the float aggregates. The aggregator adds the same
-// float64 values in the same order as the simulator's accumulators, so the
-// results are bit-identical; the epsilon only guards against a future
-// reordering of an algebraically equivalent computation.
-func approxEqual(a, b float64) bool {
-	d := a - b
-	return d < 1e-9 && d > -1e-9
-}
-
 // TestAggregatorMatchesMetrics pins the contract that makes traces
 // trustworthy: folding a client's event stream through obs.Aggregator
-// recovers the same per-client quantities sim.Metrics reports. Warmup is
-// zero because the recorder sees every query while Metrics exclude the
-// warmup phase.
+// recovers, bit for bit, the per-client quantities sim.Metrics reports.
+// Warmup is zero because the recorder sees every query while Metrics
+// exclude the warmup phase. Rows run at traceConfig's DisconnectProb
+// 0.05 unless they say otherwise.
 func TestAggregatorMatchesMetrics(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mod  func(*Config)
 	}{
 		{"inv-only", func(cfg *Config) {}},
+		{"inv-only-connected", func(cfg *Config) { cfg.DisconnectProb = 0 }},
 		{"vcache", func(cfg *Config) {
 			cfg.Scheme = core.Options{Kind: core.KindVCache, CacheSize: 100}
 		}},
@@ -160,6 +153,16 @@ func TestAggregatorMatchesMetrics(t *testing.T) {
 		}},
 		{"sgt", func(cfg *Config) {
 			cfg.Scheme = core.Options{Kind: core.KindSGT, CacheSize: 100}
+		}},
+		{"noise", func(cfg *Config) {
+			cfg.Scheme = core.Options{Kind: core.KindSGT, CacheSize: 100}
+			cfg.DisconnectProb = 0
+			cfg.Fault = mustPlan(t, "noise")
+		}},
+		{"chaos", func(cfg *Config) {
+			cfg.Scheme = core.Options{Kind: core.KindMVCache, CacheSize: 100}
+			cfg.DisconnectProb = 0
+			cfg.Fault = mustPlan(t, "chaos")
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,8 +178,8 @@ func TestAggregatorMatchesMetrics(t *testing.T) {
 			}
 			s := agg.Summary()
 
-			if s.Method != m.SchemeName {
-				t.Errorf("Method = %q, want %q", s.Method, m.SchemeName)
+			if s.Method != m.Method {
+				t.Errorf("Method = %q, want %q", s.Method, m.Method)
 			}
 			ints := []struct {
 				name      string
@@ -207,14 +210,63 @@ func TestAggregatorMatchesMetrics(t *testing.T) {
 				{"OverflowReadRate", s.OverflowReadRate, m.OverflowReadRate},
 			}
 			for _, c := range floats {
-				if !approxEqual(c.got, c.want) {
-					t.Errorf("%s = %g, want %g", c.name, c.got, c.want)
+				if c.got != c.want {
+					t.Errorf("%s = %x, want %x", c.name, c.got, c.want)
 				}
 			}
 			if m.Aborted == 0 {
 				t.Logf("note: no aborts in %s run", tc.name)
 			}
 		})
+	}
+}
+
+func mustPlan(t *testing.T, name string) fault.Plan {
+	t.Helper()
+	p, err := fault.ParsePlan(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestMetricsExcludeWarmup pins the warm-up boundary: the Summary a run
+// reports is exactly what a fresh aggregator folds from the run-begin
+// event and every event after the Warmup-th query outcome.
+func TestMetricsExcludeWarmup(t *testing.T) {
+	const warmup = 37
+	cfg := traceConfig()
+	cfg.Warmup = warmup
+	cfg.Queries = 150
+	cfg.Scheme = core.Options{Kind: core.KindSGT, CacheSize: 100}
+	var buf bytes.Buffer
+	cfg.Recorder = obs.NewJSONL(&buf)
+	m, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, err := obs.ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg := obs.NewAggregator()
+	outcomes := 0
+	for _, e := range events {
+		if e.Type == obs.TypeRunBegin || outcomes >= warmup {
+			agg.Record(e)
+		}
+		if e.Type == obs.TypeCommit || e.Type == obs.TypeAbort {
+			outcomes++
+		}
+	}
+	if outcomes != warmup+cfg.Queries {
+		t.Fatalf("trace holds %d query outcomes, want %d", outcomes, warmup+cfg.Queries)
+	}
+	if got := agg.Summary(); got != m.Summary {
+		t.Fatalf("post-warm-up fold differs from Metrics:\nfold:    %+v\nmetrics: %+v", got, m.Summary)
+	}
+	if m.Queries != cfg.Queries {
+		t.Fatalf("Queries = %d, want %d", m.Queries, cfg.Queries)
 	}
 }
 
